@@ -8,16 +8,7 @@ probability (offline grid search and online per-step argmax), and a
 reproducible Monte Carlo experiment harness with a CLI.
 """
 
-from .core import (
-    GaussianSpec,
-    Probability,
-    RngStream,
-    bernoulli_sample,
-    derive_seed,
-    gaussian_logpdf,
-    gaussian_pdf,
-    gaussian_sample,
-)
+from .core import Probability, RngStream, derive_seed
 from .delay_channel import (
     DelayChannel,
     DelayOutcome,
@@ -54,7 +45,6 @@ from .filtering import (
     StepDiagnostics,
     delayed_likelihood,
     effective_sample_size,
-    estimate,
     filter_step,
     init_filter,
     run_filter,
@@ -67,7 +57,6 @@ from .identification import (
     IdentificationResult,
     OnlineIdentState,
     content_age_weights,
-    identification_likelihood,
     init_candidate_filters,
     init_online_identification,
     ll_step,

@@ -1,14 +1,13 @@
 """Shared numeric primitives.
 
-Probability and Gaussian parameter types, scalar Gaussian density /
-sampling helpers, and a reproducible seeded random-stream abstraction
-used everywhere randomness is consumed.
+A probability type, unchecked vectorized normal densities for the model
+hot paths, and a reproducible seeded random-stream abstraction used
+everywhere randomness is consumed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,6 @@ class Probability(float):
         if not 0.0 <= v <= 1.0:
             raise DomainError(f"probability must lie in [0, 1], got {value!r}")
         return super().__new__(cls, v)
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    """Mean and variance of a scalar Gaussian distribution."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise DomainError("Gaussian mean/variance must be finite")
-        if self.variance <= 0.0:
-            raise DomainError(f"variance must be > 0, got {self.variance}")
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 class RngStream:
@@ -74,11 +55,6 @@ class RngStream:
     def substream(self, *ids: int) -> "RngStream":
         """Derive an independent stream identified by (seed, path + ids)."""
         return RngStream(self.seed, self.path + ids)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (for advanced use)."""
-        return self._gen
 
     def random(self, size=None):
         """Uniform draws on [0, 1)."""
@@ -109,35 +85,3 @@ def _normal_pdf(x, mean, variance):
 def _normal_logpdf(x, mean, variance):
     d = np.asarray(x, dtype=float) - mean
     return -0.5 * (d * d / variance + _LOG_TWO_PI + math.log(variance))
-
-
-def gaussian_pdf(x, spec: GaussianSpec):
-    """Evaluate the Gaussian density N(spec.mean, spec.variance) at x.
-
-    Accepts scalars or arrays; raises DomainError on non-finite input.
-    """
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("gaussian_pdf requires finite input")
-    out = _normal_pdf(arr, spec.mean, spec.variance)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def gaussian_logpdf(x, spec: GaussianSpec):
-    """Log form of :func:`gaussian_pdf`, for underflow-safe accumulation."""
-    arr = np.asarray(x, dtype=float)
-    if not np.isfinite(arr).all():
-        raise DomainError("gaussian_logpdf requires finite input")
-    out = _normal_logpdf(arr, spec.mean, spec.variance)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def gaussian_sample(spec: GaussianSpec, rng: RngStream, size=None):
-    """Draw from N(spec.mean, spec.variance); deterministic given the stream."""
-    return rng.normal(spec.mean, spec.std, size)
-
-
-def bernoulli_sample(p, rng: RngStream) -> int:
-    """Return 1 with probability p, else 0."""
-    p = Probability(p)
-    return int(rng.random() < p)

@@ -81,8 +81,8 @@ def delay_pmf(params: LatencyParams) -> tuple[np.ndarray, Probability]:
     drop = p^(N+1). The total mass is exactly one.
     """
     p = float(params.p)
-    j = np.arange(params.max_delay + 1)
-    weights = p**j * (1.0 - p)
+    # scalar powers: np.power on an integer array can differ in the last bit
+    weights = np.array([p**j * (1.0 - p) for j in range(params.max_delay + 1)])
     return weights, Probability(p ** (params.max_delay + 1))
 
 

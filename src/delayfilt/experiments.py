@@ -368,8 +368,13 @@ def run_id(config: ScenarioConfig, mode: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def write_manifest(out_dir: Path, config: ScenarioConfig, mode: str) -> None:
-    lines = [f"run_id={run_id(config, mode)}", f"mode={mode}", f"seed={config.seed}"]
+def write_manifest(out_dir: Path, config: ScenarioConfig, mode: str, failed_runs: int) -> None:
+    lines = [
+        f"run_id={run_id(config, mode)}",
+        f"mode={mode}",
+        f"seed={config.seed}",
+        f"failed_runs={failed_runs}",
+    ]
     echo = _config_echo(config)
     for key in sorted(echo):
         lines.append(f"config.{key}={json.dumps(echo[key], sort_keys=True)}")
@@ -384,7 +389,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_outputs(out_dir, config: ScenarioConfig, mode: str, result) -> None:
-    """Write the fixed CSV outputs for a study plus its manifest."""
+    """Write the fixed CSV outputs for a study plus its manifest.
+
+    The manifest counts the Monte Carlo runs or identification ensembles
+    that failed and were left out of the averages (summed over the p
+    values for a sweep).
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if mode == "filter":
@@ -414,4 +424,8 @@ def write_outputs(out_dir, config: ScenarioConfig, mode: str, result) -> None:
         _write_csv(out / "sweep.csv", ["p_true", "variant", "component", "avg_rmse"], rows)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    write_manifest(out, config, mode)
+    if mode == "sweep":
+        failed_runs = sum(metrics.failed_runs for metrics in result.values())
+    else:
+        failed_runs = result.failed_runs
+    write_manifest(out, config, mode, failed_runs)

@@ -1,7 +1,9 @@
 """Particle filter for randomly delayed measurements.
 
-A sequential importance resampling filter whose particles carry the last
-max_delay+1 states. The weight of a particle is its delayed likelihood:
+A sequential importance resampling filter whose particles carry their
+current state plus a ring of their last max_delay+1 clean measurements
+h_{k-j}(x_{k-j}), so the measurement function runs once per particle per
+step. The weight of a particle is its delayed likelihood:
 a mixture over every admissible delay hypothesis plus a loss branch that
 recursively reuses the previous step's likelihood value,
 
@@ -12,7 +14,7 @@ With p = 0 and N = 0 this reduces exactly to the standard bootstrap
 filter likelihood, and the whole filter degenerates to plain SIR.
 
 Resampling is systematic and happens every step; ancestor selection
-re-draws particle histories and their cached likelihood values together.
+re-draws states, measurement rings and cached likelihood values together.
 
 Choosing the maximum admissible delay trades off two effects: a small N
 loses information when delays are long (the loss branch swallows them),
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import RngStream
-from .delay_channel import LatencyParams
+from .delay_channel import LatencyParams, delay_pmf
 from .errors import ConfigError, ContractError, NumericError
 from .models import SystemModel
 
@@ -42,7 +44,6 @@ __all__ = [
     "filter_step",
     "run_filter",
     "systematic_resample",
-    "estimate",
     "effective_sample_size",
     "write_step_diagnostics",
 ]
@@ -62,15 +63,18 @@ class StepDiagnostics:
 
 @dataclass
 class ParticleSet:
-    """Weighted particles with per-particle state history and likelihood cache.
+    """Weighted particles with a ring of clean measurements and a likelihood cache.
 
-    ``histories[i, j]`` is particle i's state from j steps ago (column 0 is
-    the current state). ``prev_likelihood`` caches each particle's likelihood
-    from the previous step, which feeds the loss branch of the recursion.
+    ``state[i]`` is particle i's current state. ``clean[i, j]`` is its clean
+    measurement h_{k-j}(x_{k-j}) from j steps ago (column 0 belongs to the
+    current state); that is all the delayed likelihood reads of older
+    states. ``prev_likelihood`` caches each particle's likelihood from the
+    previous step, which feeds the loss branch of the recursion.
     Single-owner mutable state.
     """
 
-    histories: np.ndarray        # (ns, max_delay+1, state_dim)
+    state: np.ndarray            # (ns, state_dim)
+    clean: np.ndarray            # (ns, max_delay+1)
     weights: np.ndarray          # (ns,)
     prev_likelihood: np.ndarray  # (ns,)
     params: LatencyParams
@@ -79,7 +83,7 @@ class ParticleSet:
 
     @property
     def ns(self) -> int:
-        return self.histories.shape[0]
+        return self.state.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,16 +99,19 @@ def init_filter(
 ) -> ParticleSet:
     """Draw ns particles from the model prior with uniform weights.
 
-    All history columns start as the prior draw itself and the likelihood
-    cache starts at 1 (a constant scale that cancels in normalization).
+    Every ring column starts as the prior draw measured at step 1, the
+    step that lags reaching back past the first measurement are clamped
+    to; the likelihood cache starts at 1 (a constant scale that cancels
+    in normalization).
     """
     ns = int(ns)
     if ns < 1:
         raise ConfigError(f"particle count must be >= 1, got {ns}")
     x0 = model.prior_sample(rng, ns)
-    histories = np.repeat(x0[:, None, :], params.max_delay + 1, axis=1)
+    clean = np.repeat(model.measure_clean(x0, 1)[:, None], params.max_delay + 1, axis=1)
     return ParticleSet(
-        histories=histories,
+        state=x0,
+        clean=clean,
         weights=np.full(ns, 1.0 / ns),
         prev_likelihood=np.ones(ns),
         params=params,
@@ -112,14 +119,33 @@ def init_filter(
     )
 
 
+def _lag_mixture(clean, y_k, weights, model, k, base):
+    """Add sum_j weights[j] pdf(y_k - clean[:, j]) to ``base``, in place.
+
+    Lag j is scored at step max(k - j, 1), mirroring the channel's startup
+    clamp; zero weights are skipped. Raises NumericError on a non-finite
+    result rather than letting it propagate.
+    """
+    for j, w_j in enumerate(weights):
+        if w_j == 0.0:
+            continue
+        k_j = max(k - j, 1)
+        base += w_j * model.meas_noise_pdf(y_k - clean[:, j], k_j)
+    if not np.isfinite(base).all():
+        raise NumericError(f"non-finite likelihood at step {k}")
+    return base
+
+
 def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k: int):
     """Likelihood of a delivered measurement under every delay hypothesis.
 
     ``history`` is either one particle history of shape (max_delay+1,
-    state_dim) or a batch (ns, max_delay+1, state_dim); ``prev_like`` is the
-    matching scalar or (ns,) cache of the previous step's value. Step
-    indices older than the first measurement are clamped to 1, mirroring
-    the channel's startup behavior.
+    state_dim) or a batch (ns, max_delay+1, state_dim), column j holding
+    the state from j steps ago; ``prev_like`` is the matching scalar or
+    (ns,) cache of the previous step's value. Step indices older than the
+    first measurement are clamped to 1, mirroring the channel's startup
+    behavior. The filter evaluates the same mixture on its measurement
+    ring; this form measures the history's columns first.
 
     Always finite and >= 0; a non-finite result raises NumericError rather
     than silently propagating.
@@ -133,21 +159,13 @@ def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k:
         raise ContractError(
             f"history holds {history.shape[1]} states, expected {n_hyp}"
         )
-    p = float(params.p)
-    prev = np.asarray(prev_like, dtype=float)
-
-    like = p**n_hyp * prev
-    like = np.broadcast_to(like, history.shape[:1]).astype(float, copy=True)
-    for j in range(n_hyp):
-        weight_j = p**j * (1.0 - p)
-        if weight_j == 0.0:
-            continue
-        k_j = max(k - j, 1)
-        residual = y_k - model.measure_clean(history[:, j], k_j)
-        like += weight_j * model.meas_noise_pdf(residual, k_j)
-
-    if not np.isfinite(like).all():
-        raise NumericError(f"non-finite delayed likelihood at step {k}")
+    clean = np.stack(
+        [model.measure_clean(history[:, j], max(k - j, 1)) for j in range(n_hyp)], axis=1
+    )
+    weights, drop = delay_pmf(params)
+    base = drop * np.asarray(prev_like, dtype=float)
+    base = np.broadcast_to(base, history.shape[:1]).astype(float, copy=True)
+    like = _lag_mixture(clean, y_k, weights, model, k, base)
     return float(like[0]) if single else like
 
 
@@ -172,49 +190,46 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(w * w))
 
 
-def estimate(ps: ParticleSet) -> FilterEstimate:
-    """Weighted particle mean of the current state."""
-    mean = ps.weights @ ps.histories[:, 0]
-    return FilterEstimate(mean=mean, step=ps.step)
+def _sir_step(ps, y_k, model, k, rng, weights, loss):
+    """One SIR step weighted by a lag mixture plus a loss branch.
 
-
-def _sir_step(ps, y_k, model, k, rng, likelihood):
-    """One SIR step under an arbitrary likelihood function.
-
-    ``likelihood`` has the signature of :func:`delayed_likelihood`. Weights
-    combine in log space; if every weight underflows to zero the set resets
-    to uniform and the step is flagged. Resampling gathers histories and
-    the likelihood cache by the same ancestors.
+    The likelihood is loss * prev_likelihood plus the mixture of
+    ``weights`` over the measurement ring (see `_lag_mixture`). Weights
+    combine in log space; if every weight underflows to zero the set
+    resets to uniform and the step is flagged. Resampling gathers states,
+    rings and the likelihood cache by the same ancestors.
     """
-    x_new = model.propagate(ps.histories[:, 0], k, rng)
-    histories = np.concatenate([x_new[:, None, :], ps.histories[:, :-1]], axis=1)
+    state = model.propagate(ps.state, k, rng)
+    clean = np.concatenate([model.measure_clean(state, k)[:, None], ps.clean[:, :-1]], axis=1)
 
-    like = likelihood(histories, y_k, ps.prev_likelihood, ps.params, model, k)
+    like = _lag_mixture(clean, y_k, weights, model, k, loss * ps.prev_likelihood)
 
     with np.errstate(divide="ignore"):
         log_w = np.log(like) + np.log(ps.weights)
     top = log_w.max()
     underflow = not np.isfinite(top)
     if underflow:
-        weights = np.full(ps.ns, 1.0 / ps.ns)
+        w = np.full(ps.ns, 1.0 / ps.ns)
     else:
-        weights = np.exp(log_w - top)
-        weights /= weights.sum()
+        w = np.exp(log_w - top)
+        w /= w.sum()
 
-    est = FilterEstimate(mean=weights @ histories[:, 0], step=k)
+    est = FilterEstimate(mean=w @ state, step=k)
 
-    ancestors = systematic_resample(weights, rng)
+    ancestors = systematic_resample(w, rng)
     mean_like = like.mean()
     diagnostics = StepDiagnostics(
         step=k,
-        ess=effective_sample_size(weights),
+        ess=effective_sample_size(w),
         underflow=underflow,
         log_mean_likelihood=float(np.log(mean_like)) if mean_like > 0 else -np.inf,
         ancestors=ancestors,
         likelihood=like,
     )
+    # take copies whole rows; fancy indexing is several times slower on 2-D arrays
     new_ps = ParticleSet(
-        histories=histories[ancestors],
+        state=state.take(ancestors, axis=0),
+        clean=clean.take(ancestors, axis=0),
         weights=np.full(ps.ns, 1.0 / ps.ns),
         prev_likelihood=like[ancestors],
         params=ps.params,
@@ -231,9 +246,11 @@ def filter_step(
 
     Propagates every particle through the transition prior (the proposal,
     so the transition density cancels in the weight), weights by the
-    delayed likelihood, estimates, then resamples every step.
+    delayed likelihood under the channel's own law p^j (1-p) and p^(N+1),
+    estimates, then resamples every step.
     """
-    return _sir_step(ps, y_k, model, k, rng, delayed_likelihood)
+    weights, drop = delay_pmf(ps.params)
+    return _sir_step(ps, y_k, model, k, rng, weights, drop)
 
 
 def run_filter(

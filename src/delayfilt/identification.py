@@ -20,7 +20,8 @@ on their own dominating measures:
   the delay hypotheses j = 0..N that can produce non-repeat content,
   with weights conditional on the step not being a repeat (see
   `content_age_weights`); every term evaluates the *current* measurement
-  against the matching stored state, pdf(y_k - h_{k-j}(x_{k-j})).
+  against the matching stored clean measurement, pdf(y_k - h_{k-j}(x_{k-j})).
+  This is the filter's lag mixture with other weights and no loss branch.
 
 Feeding the filter's raw likelihood recursion into the score instead
 would let the cached loss-branch value act as a measurement-independent
@@ -36,14 +37,14 @@ accumulation and processed with the plain no-delay likelihood.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .core import Probability, RngStream
 from .delay_channel import LatencyParams
-from .errors import ConfigError, ContractError, DomainError, IdentificationError, NumericError
+from .errors import ConfigError, DomainError, IdentificationError
 from .filtering import ParticleSet, _sir_step, init_filter
 from .models import SystemModel
 
@@ -53,7 +54,6 @@ __all__ = [
     "IdentificationResult",
     "OnlineIdentState",
     "content_age_weights",
-    "identification_likelihood",
     "repeat_probability",
     "init_candidate_filters",
     "ll_step",
@@ -101,7 +101,7 @@ def _stationary_age_probability(p: float, n: int, d: int) -> float:
     )
 
 
-def content_age_weights(params: LatencyParams, n_ages: int | None = None) -> np.ndarray:
+def content_age_weights(params: LatencyParams) -> np.ndarray:
     """Content-age distribution of a delivery given it is not a repeat.
 
     A non-repeat delivery is a fresh packet of delay j <= N that does not
@@ -110,17 +110,14 @@ def content_age_weights(params: LatencyParams, n_ages: int | None = None) -> np.
 
         w_j  proportional to  p^j (1-p) (1 - P(age = j-1)),   j = 0..N,
 
-    which sums to 1 - P(repeat) before normalization. Bins beyond N (a
-    deeper stored history) get zero weight: content older than N can only
-    arrive by repeating the previous delivery. At p = 1 every delivery is
-    a repeat; the zero-delay point mass is returned as the vacuous limit.
+    which sums to 1 - P(repeat) before normalization. Content older than N
+    can only arrive by repeating the previous delivery. At p = 1 every
+    delivery is a repeat; the zero-delay point mass is returned as the
+    vacuous limit.
     """
     p = float(params.p)
     n = params.max_delay
-    n_ages = n + 1 if n_ages is None else int(n_ages)
-    if n_ages < n + 1:
-        raise ContractError(f"need at least {n + 1} age bins, got {n_ages}")
-    w = np.zeros(n_ages)
+    w = np.zeros(n + 1)
     for j in range(n + 1):
         not_duplicate = 1.0 if j == 0 else 1.0 - _stationary_age_probability(p, n, j - 1)
         w[j] = p**j * (1.0 - p) * not_duplicate
@@ -149,46 +146,24 @@ def repeat_probability(params: LatencyParams) -> float:
     return prob
 
 
-def identification_likelihood(history, y_k, prev_like, params: LatencyParams, model, k: int):
-    """Age-mixture density of the current measurement (scoring likelihood).
-
-    Same calling convention as the filter's delayed likelihood; the cache
-    argument is accepted for interface compatibility but unused, since
-    every term here evaluates y_k directly. The number of age bins is the
-    history depth, which may exceed the filter's max_delay+1.
-    """
-    history = np.asarray(history, dtype=float)
-    single = history.ndim == 2
-    if single:
-        history = history[None, :, :]
-    n_ages = history.shape[1]
-    weights = content_age_weights(params, n_ages)
-    like = np.zeros(history.shape[0])
-    for d in range(n_ages):
-        if weights[d] == 0.0:
-            continue
-        k_d = max(k - d, 1)
-        residual = y_k - model.measure_clean(history[:, d], k_d)
-        like += weights[d] * model.meas_noise_pdf(residual, k_d)
-    if not np.isfinite(like).all():
-        raise NumericError(f"non-finite identification likelihood at step {k}")
-    return float(like[0]) if single else like
-
-
 @dataclass
 class CandidateFilterState:
     """One particle filter and cumulative log-likelihood per candidate.
 
     Every candidate filter consumes the identical measurement sequence;
     their random streams are derived per candidate unless common random
-    numbers were requested at initialization. ``prev_measurement`` is the
-    last delivery processed, used to detect exact repeats.
+    numbers were requested at initialization. ``age_weights`` and
+    ``repeat_probs`` hold each candidate's `content_age_weights` and
+    `repeat_probability`, which depend on nothing else. ``prev_measurement``
+    is the last delivery processed, used to detect exact repeats.
     """
 
     candidates: np.ndarray
     filters: list[ParticleSet]
     log_likelihoods: np.ndarray
     rngs: list[RngStream]
+    age_weights: list[np.ndarray]
+    repeat_probs: list[float]
     step: int = 0
     prev_measurement: object = None
 
@@ -230,15 +205,22 @@ def init_candidate_filters(
     candidates = np.asarray(grid.candidates, dtype=float)
     filters = []
     rngs = []
+    age_weights = []
+    repeat_probs = []
     for idx, p_c in enumerate(candidates):
+        params = LatencyParams(p_c, max_delay)
         rng = base.substream(0 if common_random_numbers else idx)
-        filters.append(init_filter(model, LatencyParams(p_c, max_delay), ns, rng))
+        filters.append(init_filter(model, params, ns, rng))
         rngs.append(rng)
+        age_weights.append(content_age_weights(params))
+        repeat_probs.append(repeat_probability(params))
     return CandidateFilterState(
         candidates=candidates,
         filters=filters,
         log_likelihoods=np.zeros(len(candidates)),
         rngs=rngs,
+        age_weights=age_weights,
+        repeat_probs=repeat_probs,
     )
 
 
@@ -256,7 +238,13 @@ def ll_step(
     loss or a duplicate), whose probability is in closed form per
     candidate; such a step scores log P(repeat). Any other step scores
     log(1 - P(repeat)) plus the log of the mean age-mixture density.
-    Particle weighting uses the smooth mixture on every step.
+    Particle weighting uses the smooth mixture, with no loss branch, on
+    every step.
+
+    Repeats are detected by exact float equality with the previous
+    delivery, so a sensor that quantizes its output can deliver a fresh
+    value equal to the previous one; that step is scored as a repeat, and
+    the score is biased toward high latency.
 
     ``undelayed`` processes the measurement with the plain no-delay
     likelihood (used for the first delivery). A step whose total
@@ -268,14 +256,10 @@ def ll_step(
         and bool(np.all(np.asarray(y_k) == np.asarray(cand.prev_measurement)))
     )
     for idx in range(len(cand.candidates)):
-        ps = cand.filters[idx]
-        if undelayed:
-            ps = replace(ps, params=replace(ps.params, p=Probability(0.0)))
-        new_ps, _ = _sir_step(ps, y_k, model, k, cand.rngs[idx], identification_likelihood)
-        if undelayed:
-            new_ps.params = cand.filters[idx].params
+        weights = (1.0,) if undelayed else cand.age_weights[idx]
+        new_ps, _ = _sir_step(cand.filters[idx], y_k, model, k, cand.rngs[idx], weights, 0.0)
         if accumulate:
-            p_rep = repeat_probability(new_ps.params)
+            p_rep = cand.repeat_probs[idx]
             with np.errstate(divide="ignore"):
                 if is_repeat:
                     increment = np.log(p_rep)
@@ -286,11 +270,6 @@ def ll_step(
     cand.step = k
     cand.prev_measurement = y_k
     return cand
-
-
-def _argmax_first(values: np.ndarray) -> int:
-    # np.argmax already returns the first maximum; kept explicit for intent
-    return int(np.argmax(values))
 
 
 def offline_identify(
@@ -317,7 +296,7 @@ def offline_identify(
     lls = cand.log_likelihoods
     if not np.any(np.isfinite(lls)):
         raise IdentificationError("all candidates scored -inf; cannot identify")
-    idx = _argmax_first(lls)
+    idx = int(np.argmax(lls))  # the first maximum: ties go to the lowest candidate
     return IdentificationResult(
         p_hat=Probability(cand.candidates[idx]),
         log_likelihood_max=float(lls[idx]),
@@ -349,7 +328,7 @@ def online_identify_step(
     state.cand = ll_step(
         state.cand, y_k, model, k, accumulate=(k >= 2), undelayed=(k == 1)
     )
-    idx = _argmax_first(state.cand.log_likelihoods)
+    idx = int(np.argmax(state.cand.log_likelihoods))
     p_hat = Probability(state.cand.candidates[idx])
     state.estimates.append(float(p_hat))
     state.running_average = float(np.mean(state.estimates))

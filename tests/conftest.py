@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from delayfilt import SystemModel
+from delayfilt import SystemModel, systematic_resample
 
 
 def norm_pdf(x, var=1.0):
@@ -106,6 +106,33 @@ def reference_sir(model, measurements, ns, rng):
         x = x[idx]
         weights = np.full(ns, 1.0 / ns)
     return np.asarray(means)
+
+
+def reference_history_filter(model, params, measurements, ns, rng):
+    """Delayed-likelihood SIR over full (ns, N+1, state_dim) state histories.
+
+    Measures every lag from its stored state, h(history[:, j], max(k - j, 1)),
+    instead of keeping a ring of clean measurements; same draw protocol as
+    `init_filter` plus `run_filter`. Yields each step's (likelihood, ancestors).
+    """
+    p, n_hyp = float(params.p), params.max_delay + 1
+    hist = np.repeat(model.prior_sample(rng, ns)[:, None, :], n_hyp, axis=1)
+    prev = np.ones(ns)
+    for k, y in enumerate(measurements, start=1):
+        x = model.propagate(hist[:, 0], k, rng)
+        hist = np.concatenate([x[:, None, :], hist[:, :-1]], axis=1)
+        like = p**n_hyp * prev
+        for j in range(n_hyp):
+            if p**j * (1.0 - p) != 0.0:
+                k_j = max(k - j, 1)
+                residual = y - model.measure_clean(hist[:, j], k_j)
+                like = like + p**j * (1.0 - p) * model.meas_noise_pdf(residual, k_j)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(like) + np.log(np.full(ns, 1.0 / ns))
+        w = np.exp(log_w - log_w.max()) if np.isfinite(log_w.max()) else np.ones(ns)
+        ancestors = systematic_resample(w / w.sum(), rng)
+        yield like, ancestors
+        hist, prev = hist[ancestors], like[ancestors]
 
 
 @pytest.fixture

@@ -11,12 +11,14 @@ from delayfilt import (
     FilterVariant,
     LatencyParams,
     RngStream,
+    RunMetrics,
     ScenarioConfig,
     bot_measure,
     delay_pmf,
     generate_truth,
     load_config,
     rmse,
+    run_filter,
     run_identification_study,
     run_monte_carlo,
     run_sweep,
@@ -282,11 +284,37 @@ class TestOutputs:
         assert lines[0] == "p_true,variant,component,avg_rmse"
         assert len(lines) == 1 + 2 * 3
 
+    def test_manifest_counts_failed_runs(self, tmp_path, monkeypatch):
+        from delayfilt import experiments
+        from delayfilt.errors import NumericError
+
+        calls = []
+
+        def failing_second_run(*args):
+            calls.append(None)
+            if len(calls) == 4:  # first variant of the second Monte Carlo run
+                raise NumericError("synthetic failure")
+            return run_filter(*args)
+
+        monkeypatch.setattr(experiments, "run_filter", failing_second_run)
+        cfg = small_config(out_dir=str(tmp_path / "out"))
+        metrics = run_monte_carlo(cfg)
+        write_outputs(cfg.out_dir, cfg, "filter", metrics)
+        lines = (tmp_path / "out" / "manifest").read_text().splitlines()
+        assert "failed_runs=1" in lines
+
+    def test_sweep_manifest_sums_failed_runs(self, tmp_path):
+        cfg = small_config(out_dir=str(tmp_path / "out"))
+        result = {0.3: RunMetrics(failed_runs=2), 0.7: RunMetrics(failed_runs=1)}
+        write_outputs(cfg.out_dir, cfg, "sweep", result)
+        lines = (tmp_path / "out" / "manifest").read_text().splitlines()
+        assert "failed_runs=3" in lines
+
     def test_manifest_is_deterministic(self, tmp_path):
         cfg = small_config()
-        write_manifest(tmp_path, cfg, "filter")
+        write_manifest(tmp_path, cfg, "filter", 0)
         first = (tmp_path / "manifest").read_bytes()
-        write_manifest(tmp_path, cfg, "filter")
+        write_manifest(tmp_path, cfg, "filter", 0)
         assert (tmp_path / "manifest").read_bytes() == first
         assert f"run_id={run_id(cfg, 'filter')}" in first.decode()
 

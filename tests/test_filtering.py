@@ -11,15 +11,23 @@ from delayfilt import (
     NumericError,
     ParticleSet,
     RngStream,
+    ScenarioConfig,
     delayed_likelihood,
-    estimate,
     filter_step,
+    generate_truth,
     init_filter,
     run_filter,
     systematic_resample,
     write_step_diagnostics,
 )
-from conftest import ScalarModel, ScriptedRng, oracle_delayed_likelihood, reference_sir
+from delayfilt import filtering
+from conftest import (
+    ScalarModel,
+    ScriptedRng,
+    oracle_delayed_likelihood,
+    reference_history_filter,
+    reference_sir,
+)
 
 
 class TestInitFilter:
@@ -35,14 +43,15 @@ class TestInitFilter:
 
     def test_growth_prior_moments(self):
         ps = init_filter(GrowthModel(), LatencyParams(0.5, 2), 10**5, RngStream(33))
-        x0 = ps.histories[:, 0, 0]
+        x0 = ps.state[:, 0]
         assert abs(x0.mean()) < 0.02
         assert abs(x0.var() - 1.0) < 0.03
 
     def test_history_columns_repeat_prior(self, scalar_model):
         ps = init_filter(scalar_model, LatencyParams(0.5, 3), 10, RngStream(34))
-        for j in range(1, 4):
-            assert np.array_equal(ps.histories[:, j], ps.histories[:, 0])
+        assert ps.clean.shape == (10, 4)
+        for j in range(4):
+            assert np.array_equal(ps.clean[:, j], scalar_model.measure_clean(ps.state, 1))
 
     def test_cache_initialized_to_one(self, scalar_model):
         ps = init_filter(scalar_model, LatencyParams(0.5, 2), 10, RngStream(35))
@@ -160,27 +169,39 @@ class TestSystematicResample:
 
 
 class TestEstimate:
+    """The step estimate is the weighted mean of the propagated states."""
+
+    @staticmethod
+    def _still_step(model, x, weights, y):
+        # zero process noise leaves the propagated states at x; p = 0, N = 0
+        x = np.asarray(x, dtype=float)[:, None]
+        ps = ParticleSet(
+            state=x,
+            clean=model.measure_clean(x, 0)[:, None],
+            weights=np.asarray(weights, dtype=float),
+            prev_likelihood=np.ones(len(x)),
+            params=LatencyParams(0.0, 0),
+        )
+        return filter_step(ps, y, model, 1, ScriptedRng(normals=[0.0] * len(x), randoms=[0.5]))
+
     def test_uniform_weights_on_symmetric_states(self, scalar_model):
-        ps = init_filter(scalar_model, LatencyParams(0.0, 0), 2, RngStream(43))
-        ps.histories[:, 0, 0] = [-3.0, 3.0]
-        assert estimate(ps).mean[0] == pytest.approx(0.0, abs=1e-15)
+        _, est = self._still_step(scalar_model, [-3.0, 3.0], [0.5, 0.5], 0.0)
+        assert est.mean[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_degenerate_weight(self, scalar_model):
-        ps = init_filter(scalar_model, LatencyParams(0.0, 0), 3, RngStream(44))
-        ps.histories[:, 0, 0] = [1.0, 2.0, 3.0]
-        ps.weights = np.array([0.0, 1.0, 0.0])
-        assert estimate(ps).mean[0] == 2.0
+        _, est = self._still_step(scalar_model, [1.0, 2.0, 3.0], [0.0, 1.0, 0.0], 2.0)
+        assert est.mean[0] == 2.0
 
     def test_matches_compensated_summation(self, scalar_model):
         rng = RngStream(45)
         ns = 5000
-        ps = init_filter(scalar_model, LatencyParams(0.0, 0), ns, rng)
+        x = rng.normal(0.0, 1.0, ns)
         w = rng.random(ns)
-        ps.weights = w / w.sum()
-        oracle = math.fsum(
-            float(wi) * float(xi) for wi, xi in zip(ps.weights, ps.histories[:, 0, 0])
-        )
-        assert estimate(ps).mean[0] == pytest.approx(oracle, rel=1e-10)
+        w /= w.sum()
+        new_ps, est = self._still_step(scalar_model, x, w, 0.3)
+        post = [float(li) * float(wi) for li, wi in zip(new_ps.diagnostics.likelihood, w)]
+        oracle = math.fsum(pi * float(xi) for pi, xi in zip(post, x)) / math.fsum(post)
+        assert est.mean[0] == pytest.approx(oracle, rel=1e-10)
 
 
 class TestFilterStep:
@@ -196,7 +217,8 @@ class TestFilterStep:
         # the estimate follow by direct evaluation of the two-term mixture.
         params = LatencyParams(0.5, 1)
         ps = ParticleSet(
-            histories=np.array([[[1.0], [1.0]], [[0.5], [0.5]]]),
+            state=np.array([[1.0], [0.5]]),
+            clean=np.array([[1.0, 1.0], [0.5, 0.5]]),
             weights=np.array([0.5, 0.5]),
             prev_likelihood=np.array([0.25, 0.10]),
             params=params,
@@ -257,6 +279,34 @@ class TestFilterStep:
         for k, y in enumerate(meas, start=1):
             ps_b, est = filter_step(ps_b, y, scalar_model, k, rng)
             assert np.array_equal(means[k - 1], est.mean)
+
+
+@pytest.mark.parametrize("ns", [1, 50])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("max_delay", [0, 1, 3])
+@pytest.mark.parametrize("model_name", ["growth", "bot"])
+def test_ring_matches_full_history_reference(monkeypatch, model_name, max_delay, p, ns):
+    # the measurement ring must weight and resample exactly like full state
+    # histories, including BOT's step-dependent h at the clamped early lags
+    cfg = ScenarioConfig(model=model_name, p_true=0.5, n_true=2, n_steps=15)
+    model = cfg.build_model()
+    ys = generate_truth(cfg, 71).y
+    params = LatencyParams(p, max_delay)
+    steps = []
+
+    def recording_step(*args):
+        new_ps, est = filter_step(*args)
+        steps.append(new_ps.diagnostics)
+        return new_ps, est
+
+    monkeypatch.setattr(filtering, "filter_step", recording_step)
+    rng = RngStream(72)
+    run_filter(init_filter(model, params, ns, rng), ys, model, rng)
+    reference = list(reference_history_filter(model, params, ys, ns, RngStream(72)))
+    assert len(steps) == len(reference) == len(ys)
+    for diag, (like, ancestors) in zip(steps, reference):
+        assert np.array_equal(diag.likelihood, like)
+        assert np.array_equal(diag.ancestors, ancestors)
 
 
 def test_step_diagnostics_csv(tmp_path, scalar_model):

@@ -18,7 +18,6 @@ from delayfilt import (
     ScenarioConfig,
     content_age_weights,
     generate_truth,
-    identification_likelihood,
     init_candidate_filters,
     init_online_identification,
     ll_step,
@@ -27,6 +26,7 @@ from delayfilt import (
     write_ll_curve,
 )
 from delayfilt.core import derive_seed
+from delayfilt.filtering import _lag_mixture
 from delayfilt.identification import repeat_probability
 from conftest import ScriptedRng, norm_pdf
 
@@ -63,9 +63,10 @@ class TestContentAgeWeights:
         assert np.array_equal(w, [1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    @pytest.mark.parametrize("n_ages", [3, 4, 6])
-    def test_normalized(self, p, n_ages):
-        w = content_age_weights(LatencyParams(p, 2), n_ages)
+    @pytest.mark.parametrize("max_delay", [3, 4, 6])
+    def test_normalized(self, p, max_delay):
+        w = content_age_weights(LatencyParams(p, max_delay))
+        assert w.shape == (max_delay + 1,)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(w >= 0)
 
@@ -74,17 +75,6 @@ class TestContentAgeWeights:
         # collapses to a zero-delay point mass
         w = content_age_weights(LatencyParams(1.0, 2))
         assert np.array_equal(w, [1.0, 0.0, 0.0])
-
-    def test_requires_enough_bins(self):
-        from delayfilt.errors import ContractError
-
-        with pytest.raises(ContractError):
-            content_age_weights(LatencyParams(0.5, 2), 2)
-
-    def test_deep_histories_get_zero_weight_past_max_delay(self):
-        w = content_age_weights(LatencyParams(0.5, 2), 5)
-        assert np.all(w[3:] == 0.0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_simulated_age_distribution(self):
         # simulate the delivery process and compare the content-age
@@ -139,52 +129,63 @@ class TestRepeatProbability:
 class TestIdentificationLikelihood:
     def test_age_mixture_against_direct_sum(self, scalar_model):
         params = LatencyParams(0.6, 2)
-        history = np.array([[0.5], [-1.0], [2.0], [0.0]])  # one extra age bin
-        weights = content_age_weights(params, 4)
+        clean = np.array([[0.5, -1.0, 2.0]])
+        weights = content_age_weights(params)
         expected = math.fsum(
-            float(weights[d]) * norm_pdf(0.3 - float(history[d, 0])) for d in range(4)
+            float(weights[d]) * norm_pdf(0.3 - float(clean[0, d])) for d in range(3)
         )
-        value = identification_likelihood(history, 0.3, None, params, scalar_model, 9)
-        assert value == pytest.approx(expected, rel=1e-13)
+        value = _lag_mixture(clean, 0.3, weights, scalar_model, 9, np.zeros(1))
+        assert value[0] == pytest.approx(expected, rel=1e-13)
 
     def test_ignores_cache_argument(self, scalar_model):
-        params = LatencyParams(0.6, 1)
-        history = np.array([[0.5], [-1.0]])
-        a = identification_likelihood(history, 0.3, 123.0, params, scalar_model, 5)
-        b = identification_likelihood(history, 0.3, None, params, scalar_model, 5)
-        assert a == b
+        # the score has no loss branch, so the likelihood cache never enters it
+        runs = []
+        for cache in (1.0, 123.0):
+            rng = ScriptedRng(normals=[0.0], randoms=[0.5])
+            cand = _single_candidate_state(0.6, 1, 0.5, rng)
+            cand.filters[0].prev_likelihood[:] = cache
+            cand.prev_measurement = -1.0
+            runs.append(ll_step(cand, 0.3, scalar_model, k=5))
+        a, b = runs
+        assert np.array_equal(a.log_likelihoods, b.log_likelihoods)
+        assert np.array_equal(a.filters[0].diagnostics.likelihood, b.filters[0].diagnostics.likelihood)
+
+
+def _single_candidate_state(p, max_delay, x0, rng):
+    """One candidate, one particle at x0 whose ring holds h(x0) = x0 at every lag."""
+    params = LatencyParams(p, max_delay)
+    ps = ParticleSet(
+        state=np.array([[x0]]),
+        clean=np.full((1, max_delay + 1), x0),
+        weights=np.ones(1),
+        prev_likelihood=np.ones(1),
+        params=params,
+        step=0,
+    )
+    return CandidateFilterState(
+        candidates=np.array([p]),
+        filters=[ps],
+        log_likelihoods=np.zeros(1),
+        rngs=[rng],
+        age_weights=[content_age_weights(params)],
+        repeat_probs=[repeat_probability(params)],
+        step=0,
+    )
 
 
 class TestLlStep:
-    def _single_candidate_state(self, p, max_delay, histories, rng):
-        ns = histories.shape[0]
-        ps = ParticleSet(
-            histories=histories.astype(float),
-            weights=np.full(ns, 1.0 / ns),
-            prev_likelihood=np.ones(ns),
-            params=LatencyParams(p, max_delay),
-            step=0,
-        )
-        return CandidateFilterState(
-            candidates=np.array([p]),
-            filters=[ps],
-            log_likelihoods=np.zeros(1),
-            rngs=[rng],
-            step=0,
-        )
-
     def test_zero_residual_increment_is_log_mode_density(self, scalar_model):
         # p = 0, one particle landing exactly on the measurement: the
         # increment is the log of the standard normal mode
         rng = ScriptedRng(normals=[0.0], randoms=[0.5])
-        cand = self._single_candidate_state(0.0, 0, np.array([[[0.3]]]), rng)
+        cand = _single_candidate_state(0.0, 0, 0.3, rng)
         cand.prev_measurement = -123.0  # not a repeat
         cand = ll_step(cand, 0.3, scalar_model, k=2)
         assert cand.log_likelihoods[0] == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_repeat_step_scores_repeat_probability(self, scalar_model):
         rng = ScriptedRng(normals=[0.0], randoms=[0.5])
-        cand = self._single_candidate_state(0.5, 1, np.array([[[0.3], [0.3]]]), rng)
+        cand = _single_candidate_state(0.5, 1, 0.3, rng)
         cand.prev_measurement = 0.7
         cand = ll_step(cand, 0.7, scalar_model, k=2)
         expected = math.log(repeat_probability(LatencyParams(0.5, 1)))
@@ -192,7 +193,7 @@ class TestLlStep:
 
     def test_repeat_eliminates_zero_latency_candidate(self, scalar_model):
         rng = ScriptedRng(normals=[0.0], randoms=[0.5])
-        cand = self._single_candidate_state(0.0, 0, np.array([[[0.3]]]), rng)
+        cand = _single_candidate_state(0.0, 0, 0.3, rng)
         cand.prev_measurement = 0.7
         cand = ll_step(cand, 0.7, scalar_model, k=2)
         assert cand.log_likelihoods[0] == -np.inf
