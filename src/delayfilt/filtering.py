@@ -15,6 +15,9 @@ filter likelihood, and the whole filter degenerates to plain SIR.
 
 Resampling is systematic and happens every step; ancestor selection
 re-draws states, measurement rings and cached likelihood values together.
+The SIR step itself works on a bank of particle sets stacked on a leading
+axis: the filter runs it on a one-row bank, identification on one row per
+candidate latency probability.
 
 Choosing the maximum admissible delay trades off two effects: a small N
 loses information when delays are long (the loss branch swallows them),
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,17 +123,20 @@ def init_filter(
 
 
 def _lag_mixture(clean, y_k, weights, model, k, base):
-    """Add sum_j weights[j] pdf(y_k - clean[:, j]) to ``base``, in place.
+    """Add sum_j weights[..., j] pdf(y_k - clean[..., j]) to ``base``, in place.
 
-    Lag j is scored at step max(k - j, 1), mirroring the channel's startup
-    clamp; zero weights are skipped. Raises NumericError on a non-finite
-    result rather than letting it propagate.
+    ``clean`` is (..., ns, n_lags), ``weights`` (..., n_lags) and ``base``
+    (..., ns); the leading axes, if any, are the rows of a bank. Lag j is
+    scored at step max(k - j, 1), mirroring the channel's startup clamp. A
+    lag whose weights are all zero is skipped; a zero weight in a lag that
+    is scored adds 0 * pdf, which leaves the sum's bits unchanged. Raises
+    NumericError on a non-finite result rather than letting it propagate.
     """
-    for j, w_j in enumerate(weights):
-        if w_j == 0.0:
+    for j in range(weights.shape[-1]):
+        w_j = weights[..., j, None]
+        if not w_j.any():
             continue
-        k_j = max(k - j, 1)
-        base += w_j * model.meas_noise_pdf(y_k - clean[:, j], k_j)
+        base += w_j * model.meas_noise_pdf(y_k - clean[..., j], max(k - j, 1))
     if not np.isfinite(base).all():
         raise NumericError(f"non-finite likelihood at step {k}")
     return base
@@ -169,6 +175,23 @@ def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k:
     return float(like[0]) if single else like
 
 
+def _systematic_rows(weights: np.ndarray, rngs) -> np.ndarray:
+    """Systematic resampling of every row of normalized (C, ns) weights.
+
+    Row c draws its single uniform offset from ``rngs[c]`` and searches its
+    own cumulative sum, so each row selects exactly the ancestors a
+    one-row call with that stream would.
+    """
+    n_rows, ns = weights.shape
+    cumulative = np.cumsum(weights, axis=1)
+    offsets = np.array([rng.random() for rng in rngs])
+    positions = (offsets[:, None] + np.arange(ns)) / ns
+    ancestors = np.empty((n_rows, ns), dtype=np.intp)
+    for c in range(n_rows):
+        ancestors[c] = np.searchsorted(cumulative[c], positions[c])
+    return np.minimum(ancestors, ns - 1, out=ancestors)
+
+
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
     """Systematic resampling: stratified positions with a single uniform offset.
 
@@ -179,10 +202,7 @@ def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"weights must be normalized, sum = {total!r}")
-    ns = len(weights)
-    positions = (rng.random() + np.arange(ns)) / ns
-    indices = np.searchsorted(np.cumsum(weights), positions)
-    return np.clip(indices, 0, ns - 1)
+    return _systematic_rows(weights[None], (rng,))[0]
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -190,53 +210,63 @@ def effective_sample_size(weights: np.ndarray) -> float:
     return float(1.0 / np.sum(w * w))
 
 
-def _sir_step(ps, y_k, model, k, rng, weights, loss):
-    """One SIR step weighted by a lag mixture plus a loss branch.
+class _SirStep(NamedTuple):
+    """What `_sir_step` produced for each row of a bank."""
 
-    The likelihood is loss * prev_likelihood plus the mixture of
-    ``weights`` over the measurement ring (see `_lag_mixture`). Weights
-    combine in log space; if every weight underflows to zero the set
-    resets to uniform and the step is flagged. Resampling gathers states,
-    rings and the likelihood cache by the same ancestors.
+    propagated: np.ndarray          # (C, ns, d) states before resampling
+    likelihood: np.ndarray          # (C, ns) before resampling
+    weights: np.ndarray             # (C, ns) normalized
+    underflow: np.ndarray           # (C,) rows reset to uniform
+    log_mean_likelihood: np.ndarray  # (C,) log of each row's mean likelihood
+    ancestors: np.ndarray           # (C, ns)
+    state: np.ndarray               # (C, ns, d) resampled
+    clean: np.ndarray               # (C, ns, N+1) resampled
+
+
+def _sir_step(state, clean, prior_weights, base, y_k, model, k, rngs, weights):
+    """One SIR step for a bank of C particle sets stacked on a leading axis.
+
+    Row c propagates ``state[c]`` with ``rngs[c]``, pushes the fresh clean
+    measurements into its ring ``clean[c]``, and scores each particle as
+    ``base[c]`` (the loss branch) plus the mixture of ``weights[c]`` over
+    the ring (see `_lag_mixture`); ``weights`` of shape (n_lags,) is shared
+    by every row. Each row combines the likelihood with ``prior_weights``
+    ((C, ns), or (ns,) shared by every row) in log space; a row whose
+    every weight underflows to zero resets to uniform and is flagged. Every row then resamples systematically, and
+    states and rings are gathered by the same ancestors. Each stream sees
+    the draws of a filter of its own, in its order: the propagation noise,
+    then one resampling uniform.
     """
-    state = model.propagate(ps.state, k, rng)
-    clean = np.concatenate([model.measure_clean(state, k)[:, None], ps.clean[:, :-1]], axis=1)
+    n_rows, ns, dim = state.shape
+    moved = [model.propagate(x, k, rng) for x, rng in zip(state, rngs)]
+    state = np.stack(moved) if n_rows > 1 else moved[0][None]
+    fresh = model.measure_clean(state.reshape(n_rows * ns, dim), k).reshape(n_rows, ns, 1)
+    clean = np.concatenate([fresh, clean[..., :-1]], axis=-1)
 
-    like = _lag_mixture(clean, y_k, weights, model, k, loss * ps.prev_likelihood)
+    like = _lag_mixture(clean, y_k, weights, model, k, base)
 
-    with np.errstate(divide="ignore"):
-        log_w = np.log(like) + np.log(ps.weights)
-    top = log_w.max()
-    underflow = not np.isfinite(top)
-    if underflow:
-        w = np.full(ps.ns, 1.0 / ps.ns)
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.log(like) + np.log(prior_weights)
+        top = log_w.max(axis=1, keepdims=True)
         w = np.exp(log_w - top)
-        w /= w.sum()
+        w /= w.sum(axis=1, keepdims=True)
+        log_mean_like = np.log(like.mean(axis=1))
+    underflow = ~np.isfinite(top[:, 0])
+    w[underflow] = 1.0 / ns
 
-    est = FilterEstimate(mean=w @ state, step=k)
-
-    ancestors = systematic_resample(w, rng)
-    mean_like = like.mean()
-    diagnostics = StepDiagnostics(
-        step=k,
-        ess=effective_sample_size(w),
-        underflow=underflow,
-        log_mean_likelihood=float(np.log(mean_like)) if mean_like > 0 else -np.inf,
-        ancestors=ancestors,
-        likelihood=like,
-    )
+    ancestors = _systematic_rows(w, rngs)
     # take copies whole rows; fancy indexing is several times slower on 2-D arrays
-    new_ps = ParticleSet(
-        state=state.take(ancestors, axis=0),
-        clean=clean.take(ancestors, axis=0),
-        weights=np.full(ps.ns, 1.0 / ps.ns),
-        prev_likelihood=like[ancestors],
-        params=ps.params,
-        step=k,
-        diagnostics=diagnostics,
+    rows = (ancestors + ns * np.arange(n_rows)[:, None]).ravel()
+    return _SirStep(
+        propagated=state,
+        likelihood=like,
+        weights=w,
+        underflow=underflow,
+        log_mean_likelihood=log_mean_like,
+        ancestors=ancestors,
+        state=state.reshape(n_rows * ns, dim).take(rows, axis=0).reshape(state.shape),
+        clean=clean.reshape(n_rows * ns, -1).take(rows, axis=0).reshape(clean.shape),
     )
-    return new_ps, est
 
 
 def filter_step(
@@ -250,7 +280,29 @@ def filter_step(
     estimates, then resamples every step.
     """
     weights, drop = delay_pmf(ps.params)
-    return _sir_step(ps, y_k, model, k, rng, weights, drop)
+    step = _sir_step(
+        ps.state[None], ps.clean[None], ps.weights, (drop * ps.prev_likelihood)[None],
+        y_k, model, k, (rng,), weights,
+    )
+    w, like, ancestors = step.weights[0], step.likelihood[0], step.ancestors[0]
+    diagnostics = StepDiagnostics(
+        step=k,
+        ess=effective_sample_size(w),
+        underflow=bool(step.underflow[0]),
+        log_mean_likelihood=float(step.log_mean_likelihood[0]),
+        ancestors=ancestors,
+        likelihood=like,
+    )
+    new_ps = ParticleSet(
+        state=step.state[0],
+        clean=step.clean[0],
+        weights=np.full(ps.ns, 1.0 / ps.ns),
+        prev_likelihood=like[ancestors],
+        params=ps.params,
+        step=k,
+        diagnostics=diagnostics,
+    )
+    return new_ps, FilterEstimate(mean=w @ step.propagated[0], step=k)
 
 
 def run_filter(

@@ -1,12 +1,16 @@
 """Maximum-likelihood identification of the latency probability.
 
-A grid of candidate probabilities is scored by running one particle
-filter per candidate over the delivered measurements and accumulating
-each candidate's log-likelihood step by step, with the smooth part of
-each increment estimated as log((1/ns) sum_i likelihood_i) over that
-candidate's particles. Offline identification returns the argmax after a
-fixed batch of m measurements; online identification re-takes the argmax
-after every step and smooths it with a running average.
+A grid of candidate probabilities is scored by a bank of particle
+filters, one row per candidate, stacked on a leading candidate axis
+(`CandidateFilterState`). One batched SIR step advances every row over
+the delivered measurement and accumulates each candidate's
+log-likelihood, with the smooth part of each increment estimated as
+log((1/ns) sum_i likelihood_i) over that row's particles. Each row keeps
+its own random stream, drawn in the order a filter of its own would
+draw, so the scores equal those of one separate filter per candidate.
+Offline identification returns the argmax after a fixed batch of m
+measurements; online identification re-takes the argmax after every step
+and smooths it with a running average.
 
 Scoring likelihood. The channel delivers a measurement whose law mixes a
 continuous part (fresh content observed through fresh noise) with atoms
@@ -45,7 +49,7 @@ import numpy as np
 from .core import Probability, RngStream
 from .delay_channel import LatencyParams
 from .errors import ConfigError, DomainError, IdentificationError
-from .filtering import ParticleSet, _sir_step, init_filter
+from .filtering import _sir_step, init_filter
 from .models import SystemModel
 
 __all__ = [
@@ -148,22 +152,26 @@ def repeat_probability(params: LatencyParams) -> float:
 
 @dataclass
 class CandidateFilterState:
-    """One particle filter and cumulative log-likelihood per candidate.
+    """A bank of particle filters, one row per grid candidate, and their scores.
 
-    Every candidate filter consumes the identical measurement sequence;
-    their random streams are derived per candidate unless common random
-    numbers were requested at initialization. ``age_weights`` and
-    ``repeat_probs`` hold each candidate's `content_age_weights` and
-    `repeat_probability`, which depend on nothing else. ``prev_measurement``
-    is the last delivery processed, used to detect exact repeats.
+    Row c of ``state`` (C, ns, state_dim) and of the clean-measurement ring
+    ``clean`` (C, ns, N+1) is candidate c's particle set; every step
+    resamples, so its weights are uniform between steps. Every row consumes
+    the identical measurement sequence; ``rngs[c]`` is derived per
+    candidate unless common random numbers were requested at
+    initialization. ``age_weights`` (C, N+1) and ``repeat_probs`` (C,) hold
+    each candidate's `content_age_weights` and `repeat_probability`, which
+    depend on nothing else. ``prev_measurement`` is the last delivery
+    processed, used to detect exact repeats.
     """
 
     candidates: np.ndarray
-    filters: list[ParticleSet]
+    state: np.ndarray
+    clean: np.ndarray
     log_likelihoods: np.ndarray
     rngs: list[RngStream]
-    age_weights: list[np.ndarray]
-    repeat_probs: list[float]
+    age_weights: np.ndarray
+    repeat_probs: np.ndarray
     step: int = 0
     prev_measurement: object = None
 
@@ -179,7 +187,7 @@ class IdentificationResult:
 
 @dataclass
 class OnlineIdentState:
-    """Per-step identification state: candidate filters plus argmax history."""
+    """Per-step identification state: the candidate bank plus argmax history."""
 
     cand: CandidateFilterState
     estimates: list[float] = field(default_factory=list)
@@ -194,7 +202,7 @@ def init_candidate_filters(
     seed: int,
     common_random_numbers: bool = False,
 ) -> CandidateFilterState:
-    """Spawn one filter per grid candidate.
+    """Stack one filter per grid candidate into a bank.
 
     Each candidate gets a stream derived from (seed, candidate index), so
     refining the grid never perturbs existing candidates; with
@@ -203,24 +211,17 @@ def init_candidate_filters(
     """
     base = RngStream(seed)
     candidates = np.asarray(grid.candidates, dtype=float)
-    filters = []
-    rngs = []
-    age_weights = []
-    repeat_probs = []
-    for idx, p_c in enumerate(candidates):
-        params = LatencyParams(p_c, max_delay)
-        rng = base.substream(0 if common_random_numbers else idx)
-        filters.append(init_filter(model, params, ns, rng))
-        rngs.append(rng)
-        age_weights.append(content_age_weights(params))
-        repeat_probs.append(repeat_probability(params))
+    params = [LatencyParams(p_c, max_delay) for p_c in candidates]
+    rngs = [base.substream(0 if common_random_numbers else idx) for idx in range(len(params))]
+    sets = [init_filter(model, prm, ns, rng) for prm, rng in zip(params, rngs)]
     return CandidateFilterState(
         candidates=candidates,
-        filters=filters,
+        state=np.stack([ps.state for ps in sets]),
+        clean=np.stack([ps.clean for ps in sets]),
         log_likelihoods=np.zeros(len(candidates)),
         rngs=rngs,
-        age_weights=age_weights,
-        repeat_probs=repeat_probs,
+        age_weights=np.stack([content_age_weights(prm) for prm in params]),
+        repeat_probs=np.array([repeat_probability(prm) for prm in params]),
     )
 
 
@@ -232,7 +233,7 @@ def ll_step(
     accumulate: bool = True,
     undelayed: bool = False,
 ) -> CandidateFilterState:
-    """Advance every candidate filter one step and accumulate its score.
+    """Advance every candidate one batched SIR step and accumulate its score.
 
     A delivery that exactly equals the previous one is a repeat event (a
     loss or a duplicate), whose probability is in closed form per
@@ -248,25 +249,26 @@ def ll_step(
 
     ``undelayed`` processes the measurement with the plain no-delay
     likelihood (used for the first delivery). A step whose total
-    likelihood underflows to zero sends that candidate's score to -inf,
-    eliminating it; the filter itself resets to uniform and continues.
+    likelihood underflows to zero for a candidate sends that candidate's
+    score to -inf, eliminating it; its filter resets to uniform and
+    continues, and the other candidates are unaffected.
     """
     is_repeat = (
         cand.prev_measurement is not None
         and bool(np.all(np.asarray(y_k) == np.asarray(cand.prev_measurement)))
     )
-    for idx in range(len(cand.candidates)):
-        weights = (1.0,) if undelayed else cand.age_weights[idx]
-        new_ps, _ = _sir_step(cand.filters[idx], y_k, model, k, cand.rngs[idx], weights, 0.0)
-        if accumulate:
-            p_rep = cand.repeat_probs[idx]
-            with np.errstate(divide="ignore"):
-                if is_repeat:
-                    increment = np.log(p_rep)
-                else:
-                    increment = np.log1p(-p_rep) + new_ps.diagnostics.log_mean_likelihood
-            cand.log_likelihoods[idx] += increment
-        cand.filters[idx] = new_ps
+    n_cands, ns = cand.state.shape[:2]
+    step = _sir_step(
+        cand.state, cand.clean, np.full(ns, 1.0 / ns), np.zeros((n_cands, ns)),
+        y_k, model, k, cand.rngs, np.ones(1) if undelayed else cand.age_weights,
+    )
+    if accumulate:
+        with np.errstate(divide="ignore"):
+            if is_repeat:
+                cand.log_likelihoods += np.log(cand.repeat_probs)
+            else:
+                cand.log_likelihoods += np.log1p(-cand.repeat_probs) + step.log_mean_likelihood
+    cand.state, cand.clean = step.state, step.clean
     cand.step = k
     cand.prev_measurement = y_k
     return cand
@@ -283,12 +285,16 @@ def offline_identify(
 ) -> IdentificationResult:
     """Grid-search the latency probability over a fixed measurement batch.
 
-    Ties break toward the lowest candidate. Raises IdentificationError if
+    Ties break toward the lowest candidate. Raises DomainError, before any
+    filter work, if a delivery is not finite, and IdentificationError if
     every candidate's log-likelihood is -inf.
     """
     y = np.asarray(measurements, dtype=float)
     if len(y) < 2:
         raise ConfigError(f"identification needs >= 2 measurements, got {len(y)}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise DomainError(f"delivery at step {bad[0] + 1} is not finite: {float(y[bad[0]])}")
     cand = init_candidate_filters(grid, model, max_delay, ns, seed, common_random_numbers)
     cand = ll_step(cand, y[0], model, k=1, accumulate=False, undelayed=True)
     for k in range(2, len(y) + 1):
@@ -323,8 +329,11 @@ def online_identify_step(
 
     At step 1 the scores are still flat, so the argmax falls on the lowest
     candidate; the running average is the mean of all per-step estimates
-    so far, including that one.
+    so far, including that one. A non-finite delivery raises DomainError
+    before any candidate advances.
     """
+    if not np.all(np.isfinite(y_k)):
+        raise DomainError(f"delivery at step {k} is not finite: {y_k}")
     state.cand = ll_step(
         state.cand, y_k, model, k, accumulate=(k >= 2), undelayed=(k == 1)
     )

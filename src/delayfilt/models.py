@@ -177,7 +177,9 @@ class BotParams:
 
     ``paper_literal_f`` switches the velocity row of the transition matrix
     from the standard constant-velocity form [0, 1] to the printed [0, T]
-    variant, which makes velocity decay geometrically.
+    variant, which makes velocity decay geometrically. ``meas_var`` (rad^2),
+    the transition matrix ``transition`` (F) and the noise gain
+    ``noise_gain`` (G) are derived from the fields at construction.
     """
 
     sampling_time: float = 0.2
@@ -190,6 +192,8 @@ class BotParams:
     platform_y: float = 20.0
     paper_literal_f: bool = False
     meas_var: float = field(init=False)
+    transition: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_gain: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sampling_time <= 0:
@@ -198,6 +202,13 @@ class BotParams:
             raise DomainError("BOT variances must be > 0")
         # degrees -> radians once, here; all internal angles are radians
         object.__setattr__(self, "meas_var", math.radians(self.bearing_noise_deg) ** 2)
+        # F and G are built once here, not on every transition
+        t = self.sampling_time
+        f = bot_transition_matrix(t, self.paper_literal_f)
+        g = np.array([0.5 * t * t, t])
+        f.flags.writeable = g.flags.writeable = False
+        object.__setattr__(self, "transition", f)
+        object.__setattr__(self, "noise_gain", g)
 
 
 @dataclass(frozen=True)
@@ -220,15 +231,14 @@ def bot_transition_matrix(sampling_time: float, paper_literal: bool = False) -> 
 
 def bot_mean(x, params: BotParams):
     """Deterministic part of the target transition, F @ x."""
-    f = bot_transition_matrix(params.sampling_time, params.paper_literal_f)
+    f = params.transition
     x = np.asarray(x, dtype=float)
     return x @ f.T if x.ndim == 2 else f @ x
 
 
 def bot_propagate(x, params: BotParams, rng: RngStream):
     """One target transition F x + G q with scalar acceleration noise q."""
-    t = params.sampling_time
-    g = np.array([0.5 * t * t, t])
+    g = params.noise_gain
     x = np.asarray(x, dtype=float)
     n = x.shape[0] if x.ndim == 2 else None
     q = rng.normal(0.0, math.sqrt(params.process_var), size=n)

@@ -9,7 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from delayfilt import SystemModel, systematic_resample
+from delayfilt import (
+    LatencyParams,
+    RngStream,
+    SystemModel,
+    content_age_weights,
+    repeat_probability,
+    systematic_resample,
+)
 
 
 def norm_pdf(x, var=1.0):
@@ -138,3 +145,53 @@ def reference_history_filter(model, params, measurements, ns, rng):
 @pytest.fixture
 def scalar_model():
     return ScalarModel()
+
+
+def reference_candidate_loop(model, candidates, max_delay, ns, seed, crn, measurements):
+    """Identification scores from one separate particle filter per candidate.
+
+    The per-candidate loop the candidate bank replaced: each candidate owns
+    an (ns, state_dim) state, an (ns, N+1) ring and its stream, and runs its
+    own propagate, lag mixture, normalization, systematic resampling and
+    gather in the same draw order (propagation noise, then one uniform).
+    The first delivery is undelayed and unscored. Yields the
+    (log-likelihoods, states, rings) after every step.
+    """
+    base = RngStream(seed)
+    rows = []
+    for idx, p in enumerate(candidates):
+        params = LatencyParams(p, max_delay)
+        rng = base.substream(0 if crn else idx)
+        x = model.prior_sample(rng, ns)
+        ring = np.repeat(model.measure_clean(x, 1)[:, None], max_delay + 1, axis=1)
+        rows.append([x, ring, rng, content_age_weights(params), repeat_probability(params)])
+    lls = np.zeros(len(candidates))
+    prev_y = None
+    for k, y in enumerate(measurements, start=1):
+        is_repeat = prev_y is not None and y == prev_y
+        for idx, row in enumerate(rows):
+            x, ring, rng, age_weights, p_rep = row
+            x = model.propagate(x, k, rng)
+            ring = np.concatenate([model.measure_clean(x, k)[:, None], ring[:, :-1]], axis=1)
+            like = np.zeros(ns)
+            for j, w_j in enumerate((1.0,) if k == 1 else age_weights):
+                if w_j != 0.0:
+                    like += w_j * model.meas_noise_pdf(y - ring[:, j], max(k - j, 1))
+            with np.errstate(divide="ignore"):
+                log_w = np.log(like) + np.log(np.full(ns, 1.0 / ns))
+            top = log_w.max()
+            if np.isfinite(top):
+                w = np.exp(log_w - top)
+                w /= w.sum()
+            else:
+                w = np.full(ns, 1.0 / ns)
+            positions = (rng.random() + np.arange(ns)) / ns
+            ancestors = np.clip(np.searchsorted(np.cumsum(w), positions), 0, ns - 1)
+            if k > 1:
+                mean_like = like.mean()
+                log_mean = float(np.log(mean_like)) if mean_like > 0 else -np.inf
+                with np.errstate(divide="ignore"):
+                    lls[idx] += np.log(p_rep) if is_repeat else np.log1p(-p_rep) + log_mean
+            row[0], row[1] = x.take(ancestors, axis=0), ring.take(ancestors, axis=0)
+        prev_y = y
+        yield lls.copy(), np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])

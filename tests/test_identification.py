@@ -12,7 +12,6 @@ from delayfilt import (
     GrowthModel,
     IdentificationError,
     LatencyParams,
-    ParticleSet,
     Probability,
     RngStream,
     ScenarioConfig,
@@ -25,10 +24,11 @@ from delayfilt import (
     online_identify_step,
     write_ll_curve,
 )
+from delayfilt import identification
 from delayfilt.core import derive_seed
 from delayfilt.filtering import _lag_mixture
 from delayfilt.identification import repeat_probability
-from conftest import ScriptedRng, norm_pdf
+from conftest import ScalarModel, ScriptedRng, norm_pdf, reference_candidate_loop
 
 
 class TestGridSpec:
@@ -138,37 +138,28 @@ class TestIdentificationLikelihood:
         assert value[0] == pytest.approx(expected, rel=1e-13)
 
     def test_ignores_cache_argument(self, scalar_model):
-        # the score has no loss branch, so the likelihood cache never enters it
-        runs = []
-        for cache in (1.0, 123.0):
-            rng = ScriptedRng(normals=[0.0], randoms=[0.5])
-            cand = _single_candidate_state(0.6, 1, 0.5, rng)
-            cand.filters[0].prev_likelihood[:] = cache
-            cand.prev_measurement = -1.0
-            runs.append(ll_step(cand, 0.3, scalar_model, k=5))
-        a, b = runs
-        assert np.array_equal(a.log_likelihoods, b.log_likelihoods)
-        assert np.array_equal(a.filters[0].diagnostics.likelihood, b.filters[0].diagnostics.likelihood)
+        # the score has no loss branch: a loss term p^(N+1) * cache with any
+        # cache value would raise the increment above the bare age mixture
+        rng = ScriptedRng(normals=[0.0], randoms=[0.5])
+        cand = _single_candidate_state(0.6, 1, 0.5, rng)
+        cand.prev_measurement = -1.0
+        cand = ll_step(cand, 0.3, scalar_model, k=5)
+        p_rep = repeat_probability(LatencyParams(0.6, 1))
+        expected = math.log1p(-p_rep) + math.log(norm_pdf(0.3 - 0.5))
+        assert cand.log_likelihoods[0] == pytest.approx(expected, rel=1e-12)
 
 
 def _single_candidate_state(p, max_delay, x0, rng):
-    """One candidate, one particle at x0 whose ring holds h(x0) = x0 at every lag."""
+    """A one-row bank: one particle at x0 whose ring holds h(x0) = x0 at every lag."""
     params = LatencyParams(p, max_delay)
-    ps = ParticleSet(
-        state=np.array([[x0]]),
-        clean=np.full((1, max_delay + 1), x0),
-        weights=np.ones(1),
-        prev_likelihood=np.ones(1),
-        params=params,
-        step=0,
-    )
     return CandidateFilterState(
         candidates=np.array([p]),
-        filters=[ps],
+        state=np.array([[[x0]]]),
+        clean=np.full((1, 1, max_delay + 1), x0),
         log_likelihoods=np.zeros(1),
         rngs=[rng],
-        age_weights=[content_age_weights(params)],
-        repeat_probs=[repeat_probability(params)],
+        age_weights=content_age_weights(params)[None],
+        repeat_probs=np.array([repeat_probability(params)]),
         step=0,
     )
 
@@ -260,6 +251,68 @@ class TestLlStep:
             assert not np.any(np.isnan(state.log_likelihoods))
 
 
+@pytest.mark.parametrize("ns", [1, 50])
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("max_delay", [0, 1, 2])
+@pytest.mark.parametrize("model_name", ["growth", "bot", "scalar"])
+def test_bank_matches_per_candidate_loop(model_name, max_delay, crn, ns):
+    # the batched bank must score, resample and gather exactly like one
+    # filter per candidate, at the grid ends p = 0 and p = 1 included
+    if model_name == "scalar":
+        model = ScalarModel()
+        ys = RngStream(80).normal(0.0, 2.0, 12)
+    else:
+        cfg = ScenarioConfig(model=model_name, p_true=0.5, n_true=2, n_steps=12)
+        model = cfg.build_model()
+        ys = generate_truth(cfg, 81).y.copy()
+    ys[6] = ys[5]  # an exact repeat
+    grid = [0.0, 0.3, 0.7, 1.0]
+    cand = init_candidate_filters(GridSpec.from_candidates(grid), model, max_delay, ns, 82, crn)
+    reference = reference_candidate_loop(model, grid, max_delay, ns, 82, crn, ys)
+    for k, (lls, state, clean) in enumerate(reference, start=1):
+        cand = ll_step(cand, ys[k - 1], model, k, accumulate=k >= 2, undelayed=k == 1)
+        assert np.array_equal(cand.log_likelihoods, lls)
+        assert np.array_equal(cand.state, state)
+        assert np.array_equal(cand.clean, clean)
+    assert k == len(ys)
+    assert cand.log_likelihoods[0] == -np.inf  # the repeat eliminates p = 0
+
+
+def test_underflowing_row_resets_alone():
+    # lags 0 and 1 sit near 0 and lag 2 at 10; y = 10 with a tiny noise
+    # variance underflows every particle of the p = 0 row, which scores only
+    # lag 0, while the other rows weight lag 2
+    model = ScalarModel(meas_var=1e-4)
+    grid, ns = [0.0, 0.5, 0.9], 4
+    x = np.array([0.0, 0.01, 0.02, 0.03])
+
+    def bank(probs):
+        params = [LatencyParams(p, 2) for p in probs]
+        return CandidateFilterState(
+            candidates=np.array(probs),
+            state=np.tile(x[None, :, None], (len(probs), 1, 1)),
+            clean=np.tile(np.stack([x, 10.0 + x, x], axis=1), (len(probs), 1, 1)),
+            log_likelihoods=np.zeros(len(probs)),
+            rngs=[ScriptedRng(normals=[0.0] * ns, randoms=[0.5]) for _ in probs],
+            age_weights=np.stack([content_age_weights(prm) for prm in params]),
+            repeat_probs=np.array([repeat_probability(prm) for prm in params]),
+            prev_measurement=-1.0,
+        )
+
+    cand = ll_step(bank(grid), 10.0, model, k=5)
+    # uniform weights and offset 0.5 keep every particle once, in order
+    assert cand.log_likelihoods[0] == -np.inf
+    assert np.array_equal(cand.state[0, :, 0], x)
+    assert np.array_equal(cand.clean[0], np.stack([x, x, 10.0 + x], axis=1))
+    assert np.all(np.isfinite(cand.log_likelihoods[1:]))
+    for c in (1, 2):
+        alone = ll_step(bank([grid[c]]), 10.0, model, k=5)
+        assert np.array_equal(cand.log_likelihoods[c], alone.log_likelihoods[0])
+        assert np.array_equal(cand.state[c], alone.state[0])
+        assert np.array_equal(cand.clean[c], alone.clean[0])
+    assert not np.array_equal(cand.state[1], cand.state[0])
+
+
 class TestOfflineIdentify:
     def test_singleton_grid_returns_its_candidate(self, scalar_model):
         y = RngStream(64).normal(0, 1, 30)
@@ -282,6 +335,15 @@ class TestOfflineIdentify:
         a = offline_identify(y, GridSpec(0.2), scalar_model, 1, 30, 69)
         b = offline_identify(y, GridSpec(0.2), scalar_model, 1, 30, 69)
         assert a == b
+
+    def test_non_finite_delivery_rejected_before_filtering(self, scalar_model, monkeypatch):
+        def no_filters(*args, **kwargs):
+            raise AssertionError("filters built before the deliveries were checked")
+
+        monkeypatch.setattr(identification, "init_candidate_filters", no_filters)
+        y = np.array([0.1, 0.2, np.nan, 0.4])
+        with pytest.raises(DomainError, match="step 3"):
+            offline_identify(y, GridSpec(0.5), scalar_model, 1, 10, 70)
 
     def test_all_eliminated_raises(self, scalar_model):
         y = np.array([0.5, 0.5, 0.7])  # exact repeat, impossible at p = 0
@@ -308,6 +370,18 @@ class TestOnlineIdentify:
         state, p_hat = online_identify_step(state, 0.4, scalar_model, 1)
         assert float(p_hat) == 0.0
         assert state.running_average == 0.0
+
+    def test_non_finite_delivery_rejected_before_filtering(self, scalar_model):
+        state = init_online_identification(GridSpec(0.5), scalar_model, 1, 20, 74)
+        for k, y in enumerate([0.4, -0.1], start=1):
+            state, _ = online_identify_step(state, y, scalar_model, k)
+        before = (state.cand.state.copy(), state.cand.log_likelihoods.copy(), list(state.estimates))
+        with pytest.raises(DomainError, match="step 3"):
+            online_identify_step(state, float("inf"), scalar_model, 3)
+        assert state.cand.step == 2
+        assert np.array_equal(state.cand.state, before[0])
+        assert np.array_equal(state.cand.log_likelihoods, before[1])
+        assert state.estimates == before[2]
 
     def test_running_average_within_candidate_range(self, scalar_model):
         grid = GridSpec.from_candidates([0.2, 0.8])
