@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import RngStream
 from .delay_channel import LatencyParams, delay_pmf
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError, DomainError, NumericError
 from .models import SystemModel
 
 __all__ = [
@@ -178,14 +178,15 @@ def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k:
 def _systematic_rows(weights: np.ndarray, rngs) -> np.ndarray:
     """Systematic resampling of every row of normalized (C, ns) weights.
 
-    Row c draws its single uniform offset from ``rngs[c]`` and searches its
-    own cumulative sum, so each row selects exactly the ancestors a
-    one-row call with that stream would.
+    Row c draws its single uniform offset from ``rngs[c]``, or every row
+    shares the one offset of a single stream, and searches its own
+    cumulative sum, so each row selects exactly the ancestors a one-row
+    call with its stream would.
     """
     n_rows, ns = weights.shape
     cumulative = np.cumsum(weights, axis=1)
     offsets = np.array([rng.random() for rng in rngs])
-    positions = (offsets[:, None] + np.arange(ns)) / ns
+    positions = np.broadcast_to((offsets[:, None] + np.arange(ns)) / ns, (n_rows, ns))
     ancestors = np.empty((n_rows, ns), dtype=np.intp)
     for c in range(n_rows):
         ancestors[c] = np.searchsorted(cumulative[c], positions[c])
@@ -223,24 +224,64 @@ class _SirStep(NamedTuple):
     clean: np.ndarray               # (C, ns, N+1) resampled
 
 
+class _RowStreams:
+    """The stream that a bank's one `propagate` call on (C*ns, d) rows sees.
+
+    Every draw must be row-major: its leading axis is the C*ns rows, and
+    its parameters are scalars. Each block of ns rows gets the values its
+    own stream would have drawn for it alone. One shared stream (common
+    random numbers) draws a single (ns, ...) block that every row repeats;
+    C streams draw one block each, in row order.
+    """
+
+    def __init__(self, rngs, n_rows: int, ns: int):
+        if len(rngs) not in (1, n_rows):
+            raise ContractError(
+                f"a bank of {n_rows} rows needs 1 or {n_rows} streams, got {len(rngs)}"
+            )
+        self._rngs, self._n_rows, self._ns = rngs, n_rows, ns
+
+    def _split(self, draw, size, *params):
+        shape = () if size is None else tuple(np.atleast_1d(size).tolist())
+        if not shape or shape[0] != self._n_rows * self._ns or any(np.ndim(v) for v in params):
+            raise ContractError(
+                f"a bank draw needs size ({self._n_rows * self._ns}, ...) and scalar "
+                f"parameters, got size {size!r}"
+            )
+        block = (self._ns,) + shape[1:]
+        if len(self._rngs) == 1:
+            return np.concatenate([draw(self._rngs[0], block)] * self._n_rows)
+        return np.concatenate([draw(rng, block) for rng in self._rngs])
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        return self._split(lambda rng, block: rng.normal(loc, scale, block), size, loc, scale)
+
+    def random(self, size=None):
+        return self._split(lambda rng, block: rng.random(block), size)
+
+
 def _sir_step(state, clean, prior_weights, base, y_k, model, k, rngs, weights):
     """One SIR step for a bank of C particle sets stacked on a leading axis.
 
-    Row c propagates ``state[c]`` with ``rngs[c]``, pushes the fresh clean
-    measurements into its ring ``clean[c]``, and scores each particle as
-    ``base[c]`` (the loss branch) plus the mixture of ``weights[c]`` over
-    the ring (see `_lag_mixture`); ``weights`` of shape (n_lags,) is shared
-    by every row. Each row combines the likelihood with ``prior_weights``
-    ((C, ns), or (ns,) shared by every row) in log space; a row whose
-    every weight underflows to zero resets to uniform and is flagged. Every row then resamples systematically, and
-    states and rings are gathered by the same ancestors. Each stream sees
-    the draws of a filter of its own, in its order: the propagation noise,
-    then one resampling uniform.
+    One `propagate` call moves all C*ns particles; row c draws its noise
+    from ``rngs[c]``, or every row from the one stream of common random
+    numbers (see `_RowStreams`; a one-row bank draws from its stream
+    directly). Each row pushes the fresh clean measurements into its ring
+    ``clean[c]`` and scores each particle as ``base[c]`` (the loss
+    branch) plus the mixture of ``weights[c]`` over the ring (see
+    `_lag_mixture`); ``weights`` of shape (n_lags,) is shared by every
+    row. Each row combines the likelihood with ``prior_weights`` ((C, ns),
+    or (ns,) shared by every row) in log space; a row whose every weight
+    underflows to zero resets to uniform and is flagged. Every row then
+    resamples systematically, and states and rings are gathered by the
+    same ancestors. Each stream sees the draws of a filter of its own, in
+    its order: the propagation noise, then one resampling uniform.
     """
     n_rows, ns, dim = state.shape
-    moved = [model.propagate(x, k, rng) for x, rng in zip(state, rngs)]
-    state = np.stack(moved) if n_rows > 1 else moved[0][None]
-    fresh = model.measure_clean(state.reshape(n_rows * ns, dim), k).reshape(n_rows, ns, 1)
+    rng = rngs[0] if n_rows == 1 else _RowStreams(rngs, n_rows, ns)
+    flat = model.propagate(state.reshape(n_rows * ns, dim), k, rng)
+    state = flat.reshape(n_rows, ns, dim)
+    fresh = model.measure_clean(flat, k).reshape(n_rows, ns, 1)
     clean = np.concatenate([fresh, clean[..., :-1]], axis=-1)
 
     like = _lag_mixture(clean, y_k, weights, model, k, base)
@@ -264,7 +305,7 @@ def _sir_step(state, clean, prior_weights, base, y_k, model, k, rngs, weights):
         underflow=underflow,
         log_mean_likelihood=log_mean_like,
         ancestors=ancestors,
-        state=state.reshape(n_rows * ns, dim).take(rows, axis=0).reshape(state.shape),
+        state=flat.take(rows, axis=0).reshape(state.shape),
         clean=clean.reshape(n_rows * ns, -1).take(rows, axis=0).reshape(clean.shape),
     )
 
@@ -305,13 +346,22 @@ def filter_step(
     return new_ps, FilterEstimate(mean=w @ step.propagated[0], step=k)
 
 
+def _check_deliveries(y: np.ndarray) -> None:
+    """Raise DomainError naming the first step whose delivery is not finite."""
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise DomainError(f"delivery at step {bad[0] + 1} is not finite: {float(y[bad[0]])}")
+
+
 def run_filter(
     ps: ParticleSet, measurements, model: SystemModel, rng: RngStream
 ) -> tuple[ParticleSet, np.ndarray]:
     """Run `filter_step` over a delivered-measurement sequence.
 
     Returns the final particle set and the (n_steps, state_dim) estimates.
+    Raises DomainError, before any filter work, if a delivery is not finite.
     """
+    _check_deliveries(np.asarray(measurements, dtype=float))
     means = np.empty((len(measurements), model.state_dim))
     for k, y_k in enumerate(measurements, start=1):
         ps, est = filter_step(ps, y_k, model, k, rng)

@@ -5,9 +5,10 @@ filters, one row per candidate, stacked on a leading candidate axis
 (`CandidateFilterState`). One batched SIR step advances every row over
 the delivered measurement and accumulates each candidate's
 log-likelihood, with the smooth part of each increment estimated as
-log((1/ns) sum_i likelihood_i) over that row's particles. Each row keeps
-its own random stream, drawn in the order a filter of its own would
-draw, so the scores equal those of one separate filter per candidate.
+log((1/ns) sum_i likelihood_i) over that row's particles. Each row draws
+from its own random stream, or all rows from one shared stream under
+common random numbers, in the order a filter of its own would draw, so
+the scores equal those of one separate filter per candidate.
 Offline identification returns the argmax after a fixed batch of m
 measurements; online identification re-takes the argmax after every step
 and smooths it with a running average.
@@ -49,7 +50,7 @@ import numpy as np
 from .core import Probability, RngStream
 from .delay_channel import LatencyParams
 from .errors import ConfigError, DomainError, IdentificationError
-from .filtering import _sir_step, init_filter
+from .filtering import _check_deliveries, _sir_step, init_filter
 from .models import SystemModel
 
 __all__ = [
@@ -157,12 +158,13 @@ class CandidateFilterState:
     Row c of ``state`` (C, ns, state_dim) and of the clean-measurement ring
     ``clean`` (C, ns, N+1) is candidate c's particle set; every step
     resamples, so its weights are uniform between steps. Every row consumes
-    the identical measurement sequence; ``rngs[c]`` is derived per
-    candidate unless common random numbers were requested at
-    initialization. ``age_weights`` (C, N+1) and ``repeat_probs`` (C,) hold
-    each candidate's `content_age_weights` and `repeat_probability`, which
-    depend on nothing else. ``prev_measurement`` is the last delivery
-    processed, used to detect exact repeats.
+    the identical measurement sequence. ``rngs`` holds one stream per
+    candidate, ``rngs[c]`` for row c, or, under common random numbers, a
+    single stream whose draws every row shares. ``age_weights`` (C, N+1)
+    and ``repeat_probs`` (C,) hold each candidate's `content_age_weights`
+    and `repeat_probability`, which depend on nothing else.
+    ``prev_measurement`` is the last delivery processed, used to detect
+    exact repeats.
     """
 
     candidates: np.ndarray
@@ -205,19 +207,21 @@ def init_candidate_filters(
     """Stack one filter per grid candidate into a bank.
 
     Each candidate gets a stream derived from (seed, candidate index), so
-    refining the grid never perturbs existing candidates; with
-    ``common_random_numbers`` all candidates share identical draws, which
-    reduces argmax variance.
+    refining the grid never perturbs existing candidates. With
+    ``common_random_numbers`` the bank keeps the single stream
+    (seed, 0), draws the prior once and gives every candidate a copy, so
+    all candidates share identical draws, which reduces argmax variance.
     """
     base = RngStream(seed)
     candidates = np.asarray(grid.candidates, dtype=float)
     params = [LatencyParams(p_c, max_delay) for p_c in candidates]
-    rngs = [base.substream(0 if common_random_numbers else idx) for idx in range(len(params))]
+    rngs = [base.substream(idx) for idx in range(1 if common_random_numbers else len(params))]
     sets = [init_filter(model, prm, ns, rng) for prm, rng in zip(params, rngs)]
+    copies = len(params) // len(sets)  # under CRN every candidate copies the one draw
     return CandidateFilterState(
         candidates=candidates,
-        state=np.stack([ps.state for ps in sets]),
-        clean=np.stack([ps.clean for ps in sets]),
+        state=np.repeat(np.stack([ps.state for ps in sets]), copies, axis=0),
+        clean=np.repeat(np.stack([ps.clean for ps in sets]), copies, axis=0),
         log_likelihoods=np.zeros(len(candidates)),
         rngs=rngs,
         age_weights=np.stack([content_age_weights(prm) for prm in params]),
@@ -292,9 +296,7 @@ def offline_identify(
     y = np.asarray(measurements, dtype=float)
     if len(y) < 2:
         raise ConfigError(f"identification needs >= 2 measurements, got {len(y)}")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise DomainError(f"delivery at step {bad[0] + 1} is not finite: {float(y[bad[0]])}")
+    _check_deliveries(y)
     cand = init_candidate_filters(grid, model, max_delay, ns, seed, common_random_numbers)
     cand = ll_step(cand, y[0], model, k=1, accumulate=False, undelayed=True)
     for k in range(2, len(y) + 1):

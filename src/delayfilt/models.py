@@ -48,9 +48,14 @@ __all__ = [
 ]
 
 
+def _wrap_to_pi(theta):
+    """Wrap angles to [-pi, pi); enough for a density that is even in the angle."""
+    return np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
 def wrap_angle(theta):
     """Wrap angles to (-pi, pi]."""
-    wrapped = np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = _wrap_to_pi(theta)
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
     return float(wrapped) if np.ndim(theta) == 0 else wrapped
 
@@ -68,7 +73,14 @@ class SystemModel(ABC):
 
     @abstractmethod
     def propagate(self, x: np.ndarray, k: int, rng: RngStream) -> np.ndarray:
-        """Advance states one step to index k, process noise included."""
+        """Advance states one step to index k, process noise included.
+
+        Draw contract: every noise draw is row-major. Its ``size`` leads
+        with the n rows of ``x``, its parameters are scalars, and row i of
+        the result depends only on ``x[i]`` and row i of the draws. The
+        candidate bank relies on this to advance all its filters in one
+        call, handing each filter the draws of its own stream.
+        """
 
     @abstractmethod
     def measure_clean(self, x: np.ndarray, k: int) -> np.ndarray:
@@ -230,10 +242,14 @@ def bot_transition_matrix(sampling_time: float, paper_literal: bool = False) -> 
 
 
 def bot_mean(x, params: BotParams):
-    """Deterministic part of the target transition, F @ x."""
+    """Deterministic part of the target transition, F @ x, for (2,) or (n, 2) states.
+
+    Computed elementwise as x0 F[:, 0] + x1 F[:, 1], so each row gets the
+    same bits whatever the number of rows (a BLAS product need not).
+    """
     f = params.transition
     x = np.asarray(x, dtype=float)
-    return x @ f.T if x.ndim == 2 else f @ x
+    return x[..., 0, None] * f[:, 0] + x[..., 1, None] * f[:, 1]
 
 
 def bot_propagate(x, params: BotParams, rng: RngStream):
@@ -282,7 +298,7 @@ class BotModel(SystemModel):
     """Bearing-only tracking wrapped as a SystemModel.
 
     The filter-side measurement uses mean platform positions; bearing
-    residuals are wrapped to (-pi, pi] before density evaluation so that
+    residuals are wrapped into [-pi, pi) before density evaluation so that
     measurements near the +-pi cut do not produce 2*pi-sized residuals.
     """
 
@@ -302,10 +318,10 @@ class BotModel(SystemModel):
         return bot_measure(x[:, 0], self.platform_mean(k))
 
     def meas_noise_pdf(self, residual, k):
-        return _normal_pdf(wrap_angle(residual), 0.0, self.params.meas_var)
+        return _normal_pdf(_wrap_to_pi(residual), 0.0, self.params.meas_var)
 
     def meas_noise_logpdf(self, residual, k):
-        return _normal_logpdf(wrap_angle(residual), 0.0, self.params.meas_var)
+        return _normal_logpdf(_wrap_to_pi(residual), 0.0, self.params.meas_var)
 
     def meas_noise_sample(self, k, rng, size=None):
         return rng.normal(0.0, math.sqrt(self.params.meas_var), size)

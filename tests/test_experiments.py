@@ -303,6 +303,24 @@ class TestOutputs:
         lines = (tmp_path / "out" / "manifest").read_text().splitlines()
         assert "failed_runs=1" in lines
 
+    def test_non_finite_delivery_counts_as_failed_run(self, monkeypatch):
+        from delayfilt import experiments
+
+        runs = []
+
+        def truth_with_nan_in_second_run(*args, **kwargs):
+            truth = generate_truth(*args, **kwargs)
+            runs.append(None)
+            if len(runs) == 2:
+                truth.y = truth.y.copy()
+                truth.y[2] = np.nan
+            return truth
+
+        monkeypatch.setattr(experiments, "generate_truth", truth_with_nan_in_second_run)
+        metrics = run_monte_carlo(small_config())
+        assert len(runs) == 3
+        assert metrics.failed_runs == 1
+
     def test_sweep_manifest_sums_failed_runs(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "out"))
         result = {0.3: RunMetrics(failed_runs=2), 0.7: RunMetrics(failed_runs=1)}

@@ -6,6 +6,7 @@ import pytest
 from delayfilt import (
     ConfigError,
     ContractError,
+    DomainError,
     GrowthModel,
     LatencyParams,
     NumericError,
@@ -279,6 +280,16 @@ class TestFilterStep:
         for k, y in enumerate(meas, start=1):
             ps_b, est = filter_step(ps_b, y, scalar_model, k, rng)
             assert np.array_equal(means[k - 1], est.mean)
+
+    def test_run_filter_rejects_non_finite_delivery_before_filtering(self, monkeypatch):
+        def no_steps(*args, **kwargs):
+            raise AssertionError("a filter step ran before the deliveries were checked")
+
+        monkeypatch.setattr(filtering, "filter_step", no_steps)
+        model = GrowthModel()
+        ps = init_filter(model, LatencyParams(0.5, 2), 50, RngStream(58))
+        with pytest.raises(DomainError, match="step 3"):
+            run_filter(ps, [0.3, 1.0, np.nan, 2.0], model, RngStream(59))
 
 
 @pytest.mark.parametrize("ns", [1, 50])

@@ -6,6 +6,7 @@ import pytest
 from delayfilt import (
     CandidateFilterState,
     ConfigError,
+    ContractError,
     DelayChannel,
     DomainError,
     GridSpec,
@@ -276,6 +277,76 @@ def test_bank_matches_per_candidate_loop(model_name, max_delay, crn, ns):
         assert np.array_equal(cand.clean, clean)
     assert k == len(ys)
     assert cand.log_likelihoods[0] == -np.inf  # the repeat eliminates p = 0
+
+
+class CountingRng:
+    """Wraps a stream and counts its draw calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = {"normal": 0, "random": 0}
+
+    def normal(self, *args, **kwargs):
+        self.calls["normal"] += 1
+        return self.rng.normal(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+
+@pytest.mark.parametrize("crn", [True, False])
+@pytest.mark.parametrize("sl", [1.0, 0.25, 0.01])
+def test_bank_draws_once_per_stream_and_step(crn, sl):
+    # under CRN the bank keeps one stream and draws the noise and the
+    # resampling uniform once per step, whatever the number of candidates
+    model = GrowthModel()
+    cand = init_candidate_filters(GridSpec(sl), model, 2, 20, 84, crn)
+    n_cands = len(cand.candidates)
+    assert len(cand.rngs) == (1 if crn else n_cands)
+    if crn:
+        assert all(np.array_equal(cand.state[c], cand.state[0]) for c in range(n_cands))
+    cand.rngs = [CountingRng(rng) for rng in cand.rngs]
+    cand = ll_step(cand, 0.4, model, 1, accumulate=False, undelayed=True)
+    cand = ll_step(cand, 1.3, model, 2)
+    for rng in cand.rngs:
+        assert rng.calls == {"normal": 2, "random": 2}
+
+
+class NotRowMajorModel(ScalarModel):
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def propagate(self, x, k, rng):
+        return x + rng.normal(0.0, 1.0, self.size(x))
+
+
+@pytest.mark.parametrize(
+    "size", [lambda x: None, lambda x: (1, x.shape[0]), lambda x: x.shape[0] + 1]
+)
+def test_bank_rejects_a_draw_that_is_not_row_major(size):
+    model = NotRowMajorModel(size)
+    for crn in (True, False):
+        cand = init_candidate_filters(GridSpec(0.5), model, 1, 10, 85, crn)
+        with pytest.raises(ContractError, match="size"):
+            ll_step(cand, 0.4, model, 1, accumulate=False, undelayed=True)
+
+
+class UniformNoiseModel(ScalarModel):
+    def propagate(self, x, k, rng):
+        return x + rng.random(size=x.shape) - 0.5
+
+
+@pytest.mark.parametrize("crn", [True, False])
+def test_bank_splits_uniform_draws_by_row(crn):
+    model, grid, ys = UniformNoiseModel(), [0.0, 0.5, 1.0], [0.1, 0.3, 0.2, -0.1]
+    cand = init_candidate_filters(GridSpec.from_candidates(grid), model, 1, 20, 86, crn)
+    reference = reference_candidate_loop(model, grid, 1, 20, 86, crn, ys)
+    for k, (lls, state, clean) in enumerate(reference, start=1):
+        cand = ll_step(cand, ys[k - 1], model, k, accumulate=k >= 2, undelayed=k == 1)
+        assert np.array_equal(cand.log_likelihoods, lls)
+        assert np.array_equal(cand.state, state)
 
 
 def test_underflowing_row_resets_alone():

@@ -22,6 +22,7 @@ from delayfilt import (
     growth_propagate,
     wrap_angle,
 )
+from delayfilt.core import _normal_pdf
 from conftest import ScriptedRng
 
 
@@ -85,6 +86,17 @@ class TestBotTransition:
         gain_2t = out_2t / math.sqrt(0.01)
         assert gain_2t[0] == pytest.approx(4 * gain_t[0], rel=1e-12)  # position: T^2/2
         assert gain_2t[1] == pytest.approx(2 * gain_t[1], rel=1e-12)  # velocity: T
+
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    def test_mean_is_row_count_invariant(self, paper_literal):
+        # a bank propagates C*ns rows at once; each row must get the bits it
+        # gets alone (a BLAS product of a large block need not give them)
+        params = BotParams(paper_literal_f=paper_literal)
+        rng = RngStream(15)
+        x = np.column_stack([rng.normal(80.0, 3.0, 4040), rng.normal(1.0, 0.3, 4040)])
+        block = bot_mean(x, params)
+        assert np.array_equal(np.concatenate([bot_mean(row[None], params) for row in x]), block)
+        assert np.array_equal(np.stack([bot_mean(row, params) for row in x]), block)
 
 
 class TestBotMeasurement:
@@ -202,6 +214,15 @@ class TestSystemModelContract:
         assert model.meas_noise_pdf(np.array([r + 2 * math.pi]), 1)[0] == pytest.approx(
             model.meas_noise_pdf(np.array([r]), 1)[0], rel=1e-12
         )
+
+    def test_bot_density_is_even_at_the_cut(self):
+        # the density skips wrap_angle's -pi -> pi step; evenness makes that exact
+        model = BotModel()
+        assert model.meas_noise_pdf(-np.pi, 1) == model.meas_noise_pdf(np.pi, 1)
+        assert model.meas_noise_logpdf(-np.pi, 1) == model.meas_noise_logpdf(np.pi, 1)
+        residual = np.concatenate([[-np.pi, np.pi], RngStream(28).normal(0.0, 4.0, 1000)])
+        via_wrap_angle = _normal_pdf(wrap_angle(residual), 0.0, model.params.meas_var)
+        assert np.array_equal(model.meas_noise_pdf(residual, 1), via_wrap_angle)
 
     def test_bot_measure_clean_uses_mean_platform(self):
         params = BotParams(sampling_time=0.2)
