@@ -175,31 +175,81 @@ def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k:
     return float(like[0]) if single else like
 
 
-def _systematic_rows(weights: np.ndarray, rngs) -> np.ndarray:
-    """Systematic resampling of every row of normalized (C, ns) weights.
+def _grid_counts(cumulative: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Count each row's positions (u + i) / ns at or below its cumulative weights.
 
-    Row c draws its single uniform offset from ``rngs[c]``, or every row
-    shares the one offset of a single stream, and searches its own
-    cumulative sum, so each row selects exactly the ancestors a one-row
-    call with its stream would.
+    ``cumulative`` is (C, ns) and ``offsets`` (C, 1), or (1, 1) for an
+    offset every row shares. Returns the (C, ns) counts
+    m_j = #{i : pos_i <= c_j}; see `_systematic_rows`.
+    """
+    ns = cumulative.shape[1]
+    counts = cumulative * ns
+    counts += 1.0 - offsets
+    np.minimum(counts, ns, out=counts)
+    np.trunc(counts, out=counts)
+    # pos[m-1] and pos[m] are computed as (u + i) / ns, the grid's own
+    # arithmetic, so they carry its bits; pos[-1] is negative and never
+    # exceeds a weight, and the mask on low makes pos[ns] act as +inf
+    edge = np.empty_like(counts)
+    while True:
+        np.subtract(counts, 1.0, out=edge)
+        edge += offsets
+        edge /= ns
+        high = edge > cumulative
+        np.add(counts, offsets, out=edge)
+        edge /= ns
+        low = edge <= cumulative
+        low &= counts < ns
+        if not (high.any() or low.any()):
+            return counts.astype(np.intp)
+        counts -= high
+        counts += low
+
+
+def _systematic_rows(weights: np.ndarray, rngs) -> np.ndarray:
+    """Systematic resampling of every row of finite, non-negative (C, ns) weights.
+
+    Row c draws its single uniform offset u from ``rngs[c]``, or every row
+    shares the one offset of a single stream, so each row selects exactly
+    the ancestors a one-row call with its stream would. Ancestor i is the
+    first particle whose cumulative weight c_j reaches the position
+    pos_i = (u + i) / ns, clipped to ns - 1: a left-sided binary search of
+    each row's cumulative sum. The positions form a uniform grid, so a
+    fixed number of passes over the whole bank finds the same ancestors:
+
+    - Count m_j = #{i : pos_i <= c_j}, the positions at or below c_j. In
+      exact arithmetic it is floor(ns c_j + 1 - u), whose argument is
+      positive, so truncation gives it.
+    - Rounding in the estimate and in the positions can leave it one off
+      where c_j lies very close to a position. Each count is therefore
+      checked against the rounded positions on either side of it, with
+      pos[-1] = -inf and pos[ns] = +inf, and moved until
+      pos[m-1] <= c_j < pos[m]. These are the search's own comparisons on
+      the same bits, so exact ties fall as they did. A count only moves
+      towards its target, and on real weights the first check moves none.
+    - The last count is forced to ns, which does what the clip to ns - 1
+      does when the cumulative sum ends below the last position.
+    - Ancestor i is then #{j : m_j <= i}: one bincount of every row's
+      counts, then a cumulative sum along each row.
     """
     n_rows, ns = weights.shape
-    cumulative = np.cumsum(weights, axis=1)
-    offsets = np.array([rng.random() for rng in rngs])
-    positions = np.broadcast_to((offsets[:, None] + np.arange(ns)) / ns, (n_rows, ns))
-    ancestors = np.empty((n_rows, ns), dtype=np.intp)
-    for c in range(n_rows):
-        ancestors[c] = np.searchsorted(cumulative[c], positions[c])
-    return np.minimum(ancestors, ns - 1, out=ancestors)
+    offsets = np.array([rng.random() for rng in rngs])[:, None]
+    counts = _grid_counts(np.cumsum(weights, axis=1), offsets)
+    counts[:, -1] = ns
+    counts += np.arange(0, n_rows * (ns + 1), ns + 1)[:, None]
+    tally = np.bincount(counts.ravel(), minlength=n_rows * (ns + 1)).reshape(n_rows, ns + 1)
+    return np.cumsum(tally, axis=1, out=tally)[:, :ns]
 
 
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
     """Systematic resampling: stratified positions with a single uniform offset.
 
-    Expects normalized weights; returns ancestor indices whose expected
-    replication count is ns * w_i.
+    Expects finite, non-negative, normalized weights; returns ancestor
+    indices whose expected replication count is ns * w_i.
     """
     weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ContractError(f"weights must be finite and non-negative, got {weights!r}")
     total = weights.sum()
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"weights must be normalized, sum = {total!r}")

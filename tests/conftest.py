@@ -91,6 +91,22 @@ class ScriptedRng:
         return vals.reshape(size)
 
 
+def reference_systematic_rows(weights, offsets):
+    """Systematic resampling by one left-sided binary search per row.
+
+    ``weights`` is (C, ns); ``offsets`` holds one uniform per row, or one
+    that every row shares. Row c's positions are (offsets[c] + i) / ns and
+    its ancestors are clipped to ns - 1.
+    """
+    n_rows, ns = weights.shape
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (n_rows,))
+    ancestors = np.empty((n_rows, ns), dtype=np.intp)
+    for c in range(n_rows):
+        positions = (offsets[c] + np.arange(ns)) / ns
+        ancestors[c] = np.minimum(np.searchsorted(np.cumsum(weights[c]), positions), ns - 1)
+    return ancestors
+
+
 def reference_sir(model, measurements, ns, rng):
     """Independently coded bootstrap SIR filter.
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delayfilt import (
     ConfigError,
@@ -28,6 +29,7 @@ from conftest import (
     oracle_delayed_likelihood,
     reference_history_filter,
     reference_sir,
+    reference_systematic_rows,
 )
 
 
@@ -167,6 +169,85 @@ class TestSystematicResample:
     def test_rejects_unnormalized(self):
         with pytest.raises(ContractError):
             systematic_resample(np.array([0.5, 0.6]), RngStream(42))
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 0.0], [1.5, -0.5]])
+    def test_rejects_non_finite_or_negative(self, weights):
+        # the sum check alone lets [nan, 1] (sum nan) and [1.5, -0.5] (sum 1) through
+        with pytest.raises(ContractError, match="finite and non-negative"):
+            systematic_resample(np.array(weights), RngStream(42))
+
+
+_WEIGHT_KINDS = ("zero", "one_hot", "uniform", "concentrated", "dyadic", "on_grid", "short", "random")
+
+
+@st.composite
+def _weight_row(draw, ns, u):
+    """One row of resampling weights, of a kind chosen to stress the counts.
+
+    ``u`` is the row's resampling offset, so that ``on_grid`` can put a
+    cumulative weight exactly on one of the row's positions (u + i) / ns.
+    """
+    kind = draw(st.sampled_from(_WEIGHT_KINDS))
+    if kind == "zero":
+        return np.zeros(ns)
+    if kind == "one_hot":
+        return np.eye(ns)[draw(st.integers(0, ns - 1))]
+    if kind == "uniform":
+        return np.full(ns, 1.0 / ns)
+    if kind == "dyadic":
+        # exact cumulative sums, which equal positions (u + i) / ns at u = 0 or 0.5
+        ints = np.array(draw(st.lists(st.integers(0, 3), min_size=ns, max_size=ns)), dtype=float)
+        return ints / 2.0 ** math.ceil(math.log2(max(ints.sum(), 1.0)))
+    if kind == "on_grid":
+        # zeros up to particle j, whose cumulative weight is the rounded position i
+        j, i = draw(st.integers(0, ns - 1)), draw(st.integers(0, ns - 1))
+        w = np.zeros(ns)
+        w[j] = ((u + np.arange(ns)) / ns)[i]
+        if j < ns - 1:
+            w[-1] = 1.0 - w[j]
+        return w
+    raw = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(ns)
+    if kind == "concentrated":
+        raw = np.exp(200.0 * (raw - 1.0))
+    w = raw / raw.sum()
+    if kind == "short":
+        # the cumulative sum ends below the last position
+        w *= draw(st.sampled_from([0.5, 0.9, 1.0 - 2.0**-40, 1.0 - 2.0**-52]))
+    return w
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), ns=st.sampled_from([1, 2, 7, 200]), n_rows=st.sampled_from([1, 3]),
+       shared=st.booleans())
+def test_systematic_rows_match_binary_search(data, ns, n_rows, shared):
+    # the counting resampler must pick the ancestors of one searchsorted per row,
+    # ties and the clip to ns - 1 included, with one shared stream or one per row
+    offset = st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53]) | st.floats(0.0, 1.0, exclude_max=True)
+    offsets = [data.draw(offset) for _ in range(1 if shared else n_rows)]
+    row_offsets = offsets * n_rows if shared else offsets
+    weights = np.stack([data.draw(_weight_row(ns, u)) for u in row_offsets])
+    rngs = [ScriptedRng(randoms=[u]) for u in offsets]
+    ancestors = filtering._systematic_rows(weights, rngs)
+    assert ancestors.dtype == np.intp
+    assert np.array_equal(ancestors, reference_systematic_rows(weights, offsets))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("ns", [7, 200])
+def test_systematic_rows_on_every_grid_tie(ns, shared):
+    # row i puts its first cumulative weight exactly on position i; the
+    # count's first estimate can then be one over or one short, and the
+    # check must move it (the last three offsets listed make it fall short)
+    offsets = [0.0, 0.5, 0.1487640122324979, 0.8582685034359774, 0.8408571199526906]
+    offsets += list(np.random.default_rng(ns).random(20))
+    for u in offsets:
+        positions = (u + np.arange(ns)) / ns
+        weights = np.zeros((ns, ns))
+        weights[:, 0] = positions
+        weights[:, -1] = 1.0 - positions
+        rngs = [ScriptedRng(randoms=[u]) for _ in range(1 if shared else ns)]
+        ancestors = filtering._systematic_rows(weights, rngs)
+        assert np.array_equal(ancestors, reference_systematic_rows(weights, [u]))
 
 
 class TestEstimate:
@@ -318,6 +399,33 @@ def test_ring_matches_full_history_reference(monkeypatch, model_name, max_delay,
     for diag, (like, ancestors) in zip(steps, reference):
         assert np.array_equal(diag.likelihood, like)
         assert np.array_equal(diag.ancestors, ancestors)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("max_delay", [0, 2])
+@pytest.mark.parametrize("model_name", ["growth", "bot"])
+def test_single_particle_filter(monkeypatch, model_name, max_delay, p):
+    # ns = 1: the one particle is every step's only ancestor with normalized
+    # weight 1 (ESS 1), and the likelihoods and estimates stay finite
+    cfg = ScenarioConfig(model=model_name, p_true=0.5, n_true=2, n_steps=30)
+    model = cfg.build_model()
+    ys = generate_truth(cfg, 73).y
+    steps = []
+
+    def recording_step(*args):
+        new_ps, est = filter_step(*args)
+        steps.append(new_ps.diagnostics)
+        return new_ps, est
+
+    monkeypatch.setattr(filtering, "filter_step", recording_step)
+    rng = RngStream(74)
+    _, means = run_filter(init_filter(model, LatencyParams(p, max_delay), 1, rng), ys, model, rng)
+    assert len(steps) == len(ys)
+    for diag in steps:
+        assert np.array_equal(diag.ancestors, [0])
+        assert diag.ess == 1.0
+        assert np.isfinite(diag.likelihood).all()
+    assert np.isfinite(means).all()
 
 
 def test_step_diagnostics_csv(tmp_path, scalar_model):

@@ -25,7 +25,7 @@ from delayfilt import (
     online_identify_step,
     write_ll_curve,
 )
-from delayfilt import identification
+from delayfilt import filtering, identification
 from delayfilt.core import derive_seed
 from delayfilt.filtering import _lag_mixture
 from delayfilt.identification import repeat_probability
@@ -382,6 +382,40 @@ def test_underflowing_row_resets_alone():
         assert np.array_equal(cand.state[c], alone.state[0])
         assert np.array_equal(cand.clean[c], alone.clean[0])
     assert not np.array_equal(cand.state[1], cand.state[0])
+
+
+@pytest.mark.parametrize("crn", [False, True])
+@pytest.mark.parametrize("max_delay", [0, 2])
+@pytest.mark.parametrize("model_name", ["growth", "bot"])
+def test_single_particle_offline_identify(monkeypatch, model_name, max_delay, crn):
+    # ns = 1 in every candidate row: each row's one particle is its only
+    # ancestor with weight 1 (ESS 1) at every step; the candidates inside
+    # (0, 1) score finite values, p = 0 is eliminated by the exact repeats in
+    # the deliveries and p = 1 by the fresh ones
+    cfg = ScenarioConfig(model=model_name, p_true=0.5, n_true=2, n_steps=30)
+    model = cfg.build_model()
+    ys = generate_truth(cfg, 75).y
+    resample = filtering._systematic_rows
+    draws = []
+
+    def recording_rows(weights, rngs):
+        ancestors = resample(weights, rngs)
+        draws.append((weights.copy(), ancestors))
+        return ancestors
+
+    monkeypatch.setattr(filtering, "_systematic_rows", recording_rows)
+    result = offline_identify(ys, GridSpec(0.25), model, max_delay, 1, 76, crn)
+    assert len(draws) == len(ys)
+    for weights, ancestors in draws:
+        assert weights.shape == ancestors.shape == (5, 1)
+        assert np.all(ancestors == 0)
+        assert np.all(1.0 / np.sum(weights**2, axis=1) == 1.0)
+    repeats = ys[1:] == ys[:-1]
+    assert repeats.any() and not repeats.all()
+    scores = np.array([ll for _, ll in result.curve])
+    assert scores[0] == scores[-1] == -np.inf
+    assert np.isfinite(scores[1:-1]).all()
+    assert result.log_likelihood_max == scores.max()
 
 
 class TestOfflineIdentify:
