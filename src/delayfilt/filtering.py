@@ -244,10 +244,12 @@ def _systematic_rows(weights: np.ndarray, rngs) -> np.ndarray:
 def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
     """Systematic resampling: stratified positions with a single uniform offset.
 
-    Expects finite, non-negative, normalized weights; returns ancestor
-    indices whose expected replication count is ns * w_i.
+    Expects a 1-D array of finite, non-negative, normalized weights; returns
+    ancestor indices whose expected replication count is ns * w_i.
     """
     weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 1:
+        raise ContractError(f"weights must be 1-D, got shape {weights.shape}")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ContractError(f"weights must be finite and non-negative, got {weights!r}")
     total = weights.sum()

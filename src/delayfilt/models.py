@@ -48,9 +48,23 @@ __all__ = [
 ]
 
 
+_TWO_PI = 2.0 * np.pi
+
+
 def _wrap_to_pi(theta):
-    """Wrap angles to [-pi, pi); enough for a density that is even in the angle."""
-    return np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    """Wrap angles to [-pi, pi); enough for a density that is even in the angle.
+
+    The result is ``remainder(theta + pi, 2 pi) - pi``, bit for bit, but the
+    remainder runs only when some shifted angle lies outside [0, 2 pi). On
+    that range it is the identity: fmod(a, b) is exact and equals a when
+    0 <= a < b. The ``+ pi ... - pi`` round trip stays, since it is what
+    moves the low bits of an angle that needs no wrap. NaN passes the range
+    test and propagates; +-inf fail it and take the remainder, as before.
+    """
+    shifted = np.asarray(theta, dtype=float) + np.pi
+    if ((shifted < 0.0) | (shifted >= _TWO_PI)).any():
+        shifted = np.remainder(shifted, _TWO_PI)
+    return shifted - np.pi
 
 
 def wrap_angle(theta):
@@ -244,12 +258,18 @@ def bot_transition_matrix(sampling_time: float, paper_literal: bool = False) -> 
 def bot_mean(x, params: BotParams):
     """Deterministic part of the target transition, F @ x, for (2,) or (n, 2) states.
 
-    Computed elementwise as x0 F[:, 0] + x1 F[:, 1], so each row gets the
-    same bits whatever the number of rows (a BLAS product need not).
+    Computed elementwise, one output column at a time as
+    x0 F[i, 0] + x1 F[i, 1], so each row gets the same bits whatever the
+    number of rows (a BLAS product need not).
     """
     f = params.transition
     x = np.asarray(x, dtype=float)
-    return x[..., 0, None] * f[:, 0] + x[..., 1, None] * f[:, 1]
+    x0, x1 = x[..., 0], x[..., 1]
+    out = np.empty(x.shape)
+    for i in range(2):
+        np.multiply(x0, f[i, 0], out=out[..., i])
+        out[..., i] += x1 * f[i, 1]
+    return out
 
 
 def bot_propagate(x, params: BotParams, rng: RngStream):
@@ -258,9 +278,10 @@ def bot_propagate(x, params: BotParams, rng: RngStream):
     x = np.asarray(x, dtype=float)
     n = x.shape[0] if x.ndim == 2 else None
     q = rng.normal(0.0, math.sqrt(params.process_var), size=n)
-    if x.ndim == 2:
-        return bot_mean(x, params) + np.outer(q, g)
-    return bot_mean(x, params) + q * g
+    out = bot_mean(x, params)
+    for i in range(2):
+        out[..., i] += q * g[i]
+    return out
 
 
 def bot_measure(x1, platform):
@@ -272,10 +293,13 @@ def bot_measure(x1, platform):
     x_tp, y_tp = platform
     dx = np.asarray(x1, dtype=float) - np.asarray(x_tp, dtype=float)
     y_tp = np.asarray(y_tp, dtype=float)
-    if np.any((dx == 0.0) & (y_tp == 0.0)):
+    # atan2(y > 0, .) lies in (0, pi]: neither the test nor the fix-up can act
+    above = bool((y_tp > 0.0).all())
+    if not above and np.any((dx == 0.0) & (y_tp == 0.0)):
         raise DomainError("bearing undefined: target coincides with platform")
     theta = np.arctan2(y_tp, dx)
-    theta = np.where(theta == -np.pi, np.pi, theta)
+    if not above:
+        theta = np.where(theta == -np.pi, np.pi, theta)
     return float(theta) if theta.ndim == 0 else theta
 
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from delayfilt import (
+    BotModel,
+    DomainError,
     LatencyParams,
     RngStream,
     SystemModel,
@@ -17,6 +19,7 @@ from delayfilt import (
     repeat_probability,
     systematic_resample,
 )
+from delayfilt.core import _normal_logpdf, _normal_pdf
 
 
 def norm_pdf(x, var=1.0):
@@ -67,6 +70,74 @@ class ScalarModel(SystemModel):
 
     def initial_truth(self, rng):
         return self.prior_sample(rng, 1)[0]
+
+
+def oracle_wrap_to_pi(theta):
+    """The bearing residual wrap as one unconditional remainder."""
+    return np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+
+
+def oracle_bot_mean(x, params):
+    """F x by broadcasting each state column against a column of F."""
+    f = params.transition
+    x = np.asarray(x, dtype=float)
+    return x[..., 0, None] * f[:, 0] + x[..., 1, None] * f[:, 1]
+
+
+def oracle_bot_propagate(x, params, rng):
+    """F x + G q with the noise added as an outer product, one draw per row."""
+    g = params.noise_gain
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0] if x.ndim == 2 else None
+    q = rng.normal(0.0, math.sqrt(params.process_var), size=n)
+    if x.ndim == 2:
+        return oracle_bot_mean(x, params) + np.outer(q, g)
+    return oracle_bot_mean(x, params) + q * g
+
+
+def oracle_bot_measure(x1, platform):
+    """Bearing with the coincidence test and the -pi -> pi fix-up always run."""
+    x_tp, y_tp = platform
+    dx = np.asarray(x1, dtype=float) - np.asarray(x_tp, dtype=float)
+    y_tp = np.asarray(y_tp, dtype=float)
+    if np.any((dx == 0.0) & (y_tp == 0.0)):
+        raise DomainError("bearing undefined: target coincides with platform")
+    theta = np.arctan2(y_tp, dx)
+    theta = np.where(theta == -np.pi, np.pi, theta)
+    return float(theta) if theta.ndim == 0 else theta
+
+
+class OracleBotModel(BotModel):
+    """BotModel on the oracle kernels; counts density calls, and those that had to wrap."""
+
+    density_calls = wrapped_calls = 0
+
+    def propagate(self, x, k, rng):
+        return oracle_bot_propagate(x, self.params, rng)
+
+    def measure_clean(self, x, k):
+        return oracle_bot_measure(x[:, 0], self.platform_mean(k))
+
+    def _wrap(self, residual):
+        shifted = np.asarray(residual, dtype=float) + np.pi
+        self.density_calls += 1
+        self.wrapped_calls += bool(np.any((shifted < 0.0) | (shifted >= 2.0 * np.pi)))
+        return oracle_wrap_to_pi(residual)
+
+    def meas_noise_pdf(self, residual, k):
+        return _normal_pdf(self._wrap(residual), 0.0, self.params.meas_var)
+
+    def meas_noise_logpdf(self, residual, k):
+        return _normal_logpdf(self._wrap(residual), 0.0, self.params.meas_var)
+
+
+def assert_same_bits(actual, expected):
+    """Equal values, NaN at the same places, the same sign bits and shape."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(np.isnan(actual), np.isnan(expected))
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+    assert np.array_equal(actual, expected, equal_nan=True)
 
 
 class ScriptedRng:

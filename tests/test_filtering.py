@@ -176,6 +176,12 @@ class TestSystematicResample:
         with pytest.raises(ContractError, match="finite and non-negative"):
             systematic_resample(np.array(weights), RngStream(42))
 
+    @pytest.mark.parametrize("weights", [np.full((2, 2), 0.25), np.array(1.0)], ids=["2d", "0d"])
+    def test_rejects_weights_that_are_not_1d(self, weights):
+        # both used to fail inside the row kernel with an unnamed ValueError
+        with pytest.raises(ContractError, match="1-D"):
+            systematic_resample(weights, RngStream(42))
+
 
 _WEIGHT_KINDS = ("zero", "one_hot", "uniform", "concentrated", "dyadic", "on_grid", "short", "random")
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from delayfilt import (
+    BotModel,
+    BotParams,
     CandidateFilterState,
     ConfigError,
     ContractError,
@@ -29,7 +31,7 @@ from delayfilt import filtering, identification
 from delayfilt.core import derive_seed
 from delayfilt.filtering import _lag_mixture
 from delayfilt.identification import repeat_probability
-from conftest import ScalarModel, ScriptedRng, norm_pdf, reference_candidate_loop
+from conftest import OracleBotModel, ScalarModel, ScriptedRng, norm_pdf, reference_candidate_loop
 
 
 class TestGridSpec:
@@ -382,6 +384,55 @@ def test_underflowing_row_resets_alone():
         assert np.array_equal(cand.state[c], alone.state[0])
         assert np.array_equal(cand.clean[c], alone.clean[0])
     assert not np.array_equal(cand.state[1], cand.state[0])
+
+
+# A target far behind the platform is seen near the +-pi cut. Deliveries on
+# the other side of the cut put residuals near -2 pi or 2 pi, outside the
+# wrap's fast range; 40 rad is an outlier that aliases to about 2.3 rad.
+_CUT_DELIVERIES = np.array(
+    [np.pi - 9e-4, np.pi - 3e-4, -np.pi + 4e-4, -np.pi + 4e-4, 40.0,
+     np.pi - 6e-4, -np.pi + 9e-4, np.pi - 2e-4, 40.0, -np.pi + 1e-4]
+)
+
+
+def _bank_arrays(cand):
+    return cand.log_likelihoods.copy(), cand.state.copy(), cand.clean.copy()
+
+
+@pytest.mark.parametrize("crn", [False, True])
+@pytest.mark.parametrize("platform_y", [1.0, -1.0])
+def test_bot_bank_matches_oracle_kernels_at_the_cut(monkeypatch, platform_y, crn):
+    # platform_y -1 also runs the bearing's y <= 0 branch on every particle
+    params = BotParams(x0_true=(-1000.0, 0.0), platform_y=platform_y)
+    model, oracle = BotModel(params), OracleBotModel(params)
+    grid = GridSpec(0.25)
+
+    online, reference = (init_online_identification(grid, m, 2, 50, 84, crn) for m in (model, oracle))
+    for k, y in enumerate(_CUT_DELIVERIES, start=1):
+        online, p_hat = online_identify_step(online, y, model, k)
+        reference, p_ref = online_identify_step(reference, y, oracle, k)
+        assert p_hat == p_ref
+        for got, want in zip(_bank_arrays(online.cand), _bank_arrays(reference.cand)):
+            assert np.array_equal(got, want)
+    assert 0 < oracle.wrapped_calls < oracle.density_calls
+    assert np.isfinite(online.cand.log_likelihoods[1:-1]).all()
+
+    steps = {id(model): [], id(oracle): []}
+    ll_step = identification.ll_step
+
+    def recording_ll_step(cand, y_k, m, k, **kwargs):
+        cand = ll_step(cand, y_k, m, k, **kwargs)
+        steps[id(m)].append(_bank_arrays(cand))
+        return cand
+
+    monkeypatch.setattr(identification, "ll_step", recording_ll_step)
+    result = offline_identify(_CUT_DELIVERIES, grid, model, 2, 50, 85, crn)
+    expected = offline_identify(_CUT_DELIVERIES, grid, oracle, 2, 50, 85, crn)
+    assert result == expected
+    assert len(steps[id(model)]) == len(_CUT_DELIVERIES)
+    for got_step, want_step in zip(steps[id(model)], steps[id(oracle)]):
+        for got, want in zip(got_step, want_step):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("crn", [False, True])

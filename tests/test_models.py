@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import integrate
 
 from delayfilt import (
@@ -23,7 +24,15 @@ from delayfilt import (
     wrap_angle,
 )
 from delayfilt.core import _normal_pdf
-from conftest import ScriptedRng
+from delayfilt.models import _wrap_to_pi
+from conftest import (
+    ScriptedRng,
+    assert_same_bits,
+    oracle_bot_mean,
+    oracle_bot_measure,
+    oracle_bot_propagate,
+    oracle_wrap_to_pi,
+)
 
 
 class TestGrowthTransition:
@@ -98,6 +107,54 @@ class TestBotTransition:
         assert np.array_equal(np.concatenate([bot_mean(row[None], params) for row in x]), block)
         assert np.array_equal(np.stack([bot_mean(row, params) for row in x]), block)
 
+    @pytest.mark.parametrize("paper_literal", [False, True])
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (4040, 2)])
+    def test_columns_match_broadcast_oracle(self, paper_literal, shape):
+        # one column at a time must give the bits of the (n, 1) x (2,) broadcasts
+        params = BotParams(paper_literal_f=paper_literal)
+        x = RngStream(16).normal(0.0, 50.0, shape)
+        if len(x) > 6:
+            x[:6] = [[0.0, -0.0], [-0.0, 0.0], [np.inf, 1.0], [1.0, -np.inf], [np.nan, 2.0], [1e308, 1e308]]
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_bits(bot_mean(x, params), oracle_bot_mean(x, params))
+            assert_same_bits(
+                bot_propagate(x, params, RngStream(17)),
+                oracle_bot_propagate(x, params, RngStream(17)),
+            )
+
+
+def _assert_bearing_matches_oracle(x1, platform):
+    try:
+        expected = oracle_bot_measure(x1, platform)
+    except DomainError:
+        with pytest.raises(DomainError):
+            bot_measure(x1, platform)
+        return
+    actual = bot_measure(x1, platform)
+    assert type(actual) is type(expected)
+    assert_same_bits(actual, expected)
+
+
+_BEARING_X1 = [7.0, -7.0, 1.0, np.nextafter(1.0, 0.0), np.inf, -np.inf, np.nan]
+
+
+class TestBotMeasurementOracle:
+    @pytest.mark.parametrize("y_tp", [20.0, 5e-324, 0.0, -0.0, -3.0, np.nan])
+    @pytest.mark.parametrize("x1", _BEARING_X1)
+    def test_scalar(self, x1, y_tp):
+        _assert_bearing_matches_oracle(x1, (1.0, y_tp))
+
+    @pytest.mark.parametrize("y_tp", [20.0, 0.0, -0.0, -3.0])
+    def test_array_of_targets(self, y_tp):
+        _assert_bearing_matches_oracle(np.array(_BEARING_X1), (1.0, y_tp))
+        _assert_bearing_matches_oracle(np.array([7.0, -7.0, -np.inf, np.nan]), (1.0, y_tp))
+
+    def test_array_of_platforms(self):
+        y_tp = np.array([20.0, 5e-324, 0.0, -0.0, -3.0, np.nan, 4.0])
+        _assert_bearing_matches_oracle(np.array(_BEARING_X1), (1.0, y_tp))
+        _assert_bearing_matches_oracle(np.full(7, -7.0), (1.0, y_tp))
+        _assert_bearing_matches_oracle(np.full(7, 7.0), (1.0, np.abs(y_tp) + 1.0))
+
 
 class TestBotMeasurement:
     def test_target_directly_above(self):
@@ -161,6 +218,69 @@ class TestWrapAngle:
         # equivalent angle modulo 2*pi
         assert math.cos(w) == pytest.approx(math.cos(theta), abs=1e-9)
         assert math.sin(w) == pytest.approx(math.sin(theta), abs=1e-9)
+
+
+def _float_neighbours(value, steps=4):
+    below = above = value
+    out = [value]
+    for _ in range(steps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return out
+
+
+# -pi and pi shift onto exactly 0 and 2 pi; some of their neighbours round onto them too
+_WRAP_EDGES = (
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 0.1, 2 * np.pi, -2 * np.pi, 3 * np.pi, -3 * np.pi]
+    + _float_neighbours(-np.pi)
+    + _float_neighbours(np.pi)
+)
+_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-4 * np.pi, max_value=4 * np.pi),
+    st.sampled_from(_WRAP_EDGES),
+)
+_IN_RANGE = st.floats(min_value=-np.pi, max_value=np.nextafter(np.pi, 0.0))
+
+
+def _assert_wrap_matches_oracle(theta):
+    with np.errstate(invalid="ignore"):
+        actual, expected = _wrap_to_pi(theta), oracle_wrap_to_pi(theta)
+    assert type(actual) is type(expected)
+    assert_same_bits(actual, expected)
+
+
+class TestWrapOracle:
+    @pytest.mark.parametrize("theta", _WRAP_EDGES)
+    def test_edges(self, theta):
+        _assert_wrap_matches_oracle(theta)
+        _assert_wrap_matches_oracle(np.array(theta))
+        _assert_wrap_matches_oracle(np.array([theta, 0.5]))
+
+    def test_in_range_keeps_the_round_trip(self):
+        # the in-range path still moves the low bits of an angle, as the remainder did
+        assert _wrap_to_pi(0.1) != 0.1
+        _assert_wrap_matches_oracle(0.1)
+
+    @given(_ANGLES)
+    @example(np.pi)
+    @example(-np.pi)
+    def test_scalars(self, theta):
+        _assert_wrap_matches_oracle(theta)
+        _assert_wrap_matches_oracle(np.array(theta))
+
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=8), elements=_ANGLES))
+    def test_arrays(self, theta):
+        _assert_wrap_matches_oracle(theta)
+
+    @given(st.lists(_IN_RANGE, min_size=1, max_size=30), st.lists(_ANGLES, max_size=3), st.randoms())
+    def test_in_range_arrays_with_outliers_mixed_in(self, inside, others, random):
+        # an all-in-range array skips the remainder; one outlier sends it back
+        theta = inside + others
+        random.shuffle(theta)
+        _assert_wrap_matches_oracle(np.array(inside))
+        _assert_wrap_matches_oracle(np.array(theta))
+        _assert_wrap_matches_oracle(np.array(theta).reshape(1, -1))
 
 
 class TestSystemModelContract:
