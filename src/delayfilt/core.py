@@ -77,9 +77,24 @@ def derive_seed(seed: int, *ids: int) -> int:
 
 
 def _normal_pdf(x, mean, variance):
-    """Unchecked vectorized normal density (hot path)."""
-    d = np.asarray(x, dtype=float) - mean
-    return np.exp(-0.5 * d * d / variance) / np.sqrt(2.0 * math.pi * variance)
+    """Unchecked vectorized normal density (hot path).
+
+    Evaluates exp(-0.5 d d / variance) / sqrt(2 pi variance), d = x - mean,
+    in that operation order, in one output buffer; ``x`` is never written.
+    A mean of 0.0 skips the subtraction: x - 0.0 differs from x at most in
+    the sign of a zero, which the product -0.5 d d does not see. A scalar
+    or 0-d ``x`` gives a numpy scalar. ``mean`` may be an array; the
+    variance is a scalar.
+    """
+    d = np.asarray(x, dtype=float)
+    if not (isinstance(mean, float) and mean == 0.0):
+        d = d - mean
+    out = np.multiply(-0.5, d, out=np.empty(d.shape))
+    out *= d
+    out /= variance
+    np.exp(out, out=out)
+    out /= math.sqrt(2.0 * math.pi * variance)
+    return out if out.ndim else out[()]
 
 
 def _normal_logpdf(x, mean, variance):

@@ -71,7 +71,10 @@ class ParticleSet:
     ``state[i]`` is particle i's current state. ``clean[i, j]`` is its clean
     measurement h_{k-j}(x_{k-j}) from j steps ago (column 0 belongs to the
     current state); that is all the delayed likelihood reads of older
-    states. ``prev_likelihood`` caches each particle's likelihood from the
+    states. The filter stores the ring lag-major, as an (N+1, ns) array
+    whose row j is lag j for every particle, and ``clean`` is its
+    transposed view; a ring built in (ns, N+1) C order works as well.
+    ``prev_likelihood`` caches each particle's likelihood from the
     previous step, which feeds the loss branch of the recursion.
     Single-owner mutable state.
     """
@@ -111,10 +114,10 @@ def init_filter(
     if ns < 1:
         raise ConfigError(f"particle count must be >= 1, got {ns}")
     x0 = model.prior_sample(rng, ns)
-    clean = np.repeat(model.measure_clean(x0, 1)[:, None], params.max_delay + 1, axis=1)
+    ring = np.repeat(model.measure_clean(x0, 1)[None], params.max_delay + 1, axis=0)
     return ParticleSet(
         state=x0,
-        clean=clean,
+        clean=ring.T,
         weights=np.full(ns, 1.0 / ns),
         prev_likelihood=np.ones(ns),
         params=params,
@@ -122,21 +125,28 @@ def init_filter(
     )
 
 
-def _lag_mixture(clean, y_k, weights, model, k, base):
-    """Add sum_j weights[..., j] pdf(y_k - clean[..., j]) to ``base``, in place.
+def _lag_mixture(lags, y_k, weights, model, k, base):
+    """Add sum_j weights[..., j] pdf(y_k - lags[j]) to ``base``, in place.
 
-    ``clean`` is (..., ns, n_lags), ``weights`` (..., n_lags) and ``base``
-    (..., ns); the leading axes, if any, are the rows of a bank. Lag j is
-    scored at step max(k - j, 1), mirroring the channel's startup clamp. A
-    lag whose weights are all zero is skipped; a zero weight in a lag that
-    is scored adds 0 * pdf, which leaves the sum's bits unchanged. Raises
+    ``lags[j]`` is the (..., ns) clean measurement of lag j, so ``lags`` is
+    a lag-major (n_lags, ..., ns) ring or a sequence of its rows;
+    ``weights`` is (..., n_lags) and ``base`` (..., ns), and the leading
+    axes, if any, are the rows of a bank. Lag j is scored at step
+    max(k - j, 1), mirroring the channel's startup clamp. Each lag's
+    residual and weighted density pass through one scratch buffer; the
+    ring and the arrays the model returns are only read. A lag whose
+    weights are all zero is skipped; a zero weight in a lag that is scored
+    adds 0 * pdf, which leaves the sum's bits unchanged. Raises
     NumericError on a non-finite result rather than letting it propagate.
     """
+    scratch = np.empty(base.shape)
     for j in range(weights.shape[-1]):
         w_j = weights[..., j, None]
         if not w_j.any():
             continue
-        base += w_j * model.meas_noise_pdf(y_k - clean[..., j], max(k - j, 1))
+        np.subtract(y_k, lags[j], out=scratch)
+        pdf = model.meas_noise_pdf(scratch, max(k - j, 1))
+        base += np.multiply(w_j, pdf, out=scratch)
     if not np.isfinite(base).all():
         raise NumericError(f"non-finite likelihood at step {k}")
     return base
@@ -165,13 +175,11 @@ def delayed_likelihood(history, y_k, prev_like, params: LatencyParams, model, k:
         raise ContractError(
             f"history holds {history.shape[1]} states, expected {n_hyp}"
         )
-    clean = np.stack(
-        [model.measure_clean(history[:, j], max(k - j, 1)) for j in range(n_hyp)], axis=1
-    )
+    lags = [model.measure_clean(history[:, j], max(k - j, 1)) for j in range(n_hyp)]
     weights, drop = delay_pmf(params)
     base = drop * np.asarray(prev_like, dtype=float)
     base = np.broadcast_to(base, history.shape[:1]).astype(float, copy=True)
-    like = _lag_mixture(clean, y_k, weights, model, k, base)
+    like = _lag_mixture(lags, y_k, weights, model, k, base)
     return float(like[0]) if single else like
 
 
@@ -273,7 +281,7 @@ class _SirStep(NamedTuple):
     log_mean_likelihood: np.ndarray  # (C,) log of each row's mean likelihood
     ancestors: np.ndarray           # (C, ns)
     state: np.ndarray               # (C, ns, d) resampled
-    clean: np.ndarray               # (C, ns, N+1) resampled
+    ring: np.ndarray                # (N+1, C, ns) resampled, lag-major
 
 
 class _RowStreams:
@@ -312,44 +320,57 @@ class _RowStreams:
         return self._split(lambda rng, block: rng.random(block), size)
 
 
-def _sir_step(state, clean, prior_weights, base, y_k, model, k, rngs, weights):
+def _sir_step(state, ring, prior_weights, base, y_k, model, k, rngs, weights):
     """One SIR step for a bank of C particle sets stacked on a leading axis.
 
     One `propagate` call moves all C*ns particles; row c draws its noise
     from ``rngs[c]``, or every row from the one stream of common random
     numbers (see `_RowStreams`; a one-row bank draws from its stream
-    directly). Each row pushes the fresh clean measurements into its ring
-    ``clean[c]`` and scores each particle as ``base[c]`` (the loss
-    branch) plus the mixture of ``weights[c]`` over the ring (see
-    `_lag_mixture`); ``weights`` of shape (n_lags,) is shared by every
-    row. Each row combines the likelihood with ``prior_weights`` ((C, ns),
-    or (ns,) shared by every row) in log space; a row whose every weight
-    underflows to zero resets to uniform and is flagged. Every row then
-    resamples systematically, and states and rings are gathered by the
-    same ancestors. Each stream sees the draws of a filter of its own, in
-    its order: the propagation noise, then one resampling uniform.
+    directly). ``ring`` is the lag-major (N+1, C, ns) measurement ring:
+    ``ring[j, c]`` holds row c's clean measurements from j steps ago. Each
+    particle scores as ``base[c]`` (the loss branch) plus the mixture of
+    ``weights[c]`` over its lags (see `_lag_mixture`), with lag 0 the
+    fresh clean measurements and lag j the stored lag j - 1; no shifted
+    ring is built. ``weights`` of shape (n_lags,) is shared by every row.
+    Each row combines the likelihood with ``prior_weights`` ((C, ns), or
+    (ns,) shared by every row) in log space, in one buffer; a row whose
+    every weight underflows to zero resets to uniform and is flagged.
+    Every row then resamples systematically. States are gathered by the
+    same ancestors, and the new ring in one contiguous pass: the fresh
+    measurements into its lag 0, the stored lags 0..N-1 into lags 1..N.
+    Each stream sees the draws of a filter of its own, in its order: the
+    propagation noise, then one resampling uniform.
     """
     n_rows, ns, dim = state.shape
     rng = rngs[0] if n_rows == 1 else _RowStreams(rngs, n_rows, ns)
     flat = model.propagate(state.reshape(n_rows * ns, dim), k, rng)
     state = flat.reshape(n_rows, ns, dim)
-    fresh = model.measure_clean(flat, k).reshape(n_rows, ns, 1)
-    clean = np.concatenate([fresh, clean[..., :-1]], axis=-1)
+    fresh = model.measure_clean(flat, k).reshape(n_rows, ns)
+    n_lags = ring.shape[0]
 
-    like = _lag_mixture(clean, y_k, weights, model, k, base)
+    like = _lag_mixture((fresh, *ring[:-1]), y_k, weights, model, k, base)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_w = np.log(like) + np.log(prior_weights)
-        top = log_w.max(axis=1, keepdims=True)
-        w = np.exp(log_w - top)
+        w = np.log(like)
+        w += np.log(prior_weights)
+        top = w.max(axis=1, keepdims=True)
+        w -= top
+        np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         log_mean_like = np.log(like.mean(axis=1))
     underflow = ~np.isfinite(top[:, 0])
     w[underflow] = 1.0 / ns
 
     ancestors = _systematic_rows(w, rngs)
-    # take copies whole rows; fancy indexing is several times slower on 2-D arrays
+    # take gathers flat rows; fancy indexing is several times slower on 2-D
+    # arrays. The ancestors are in range, and mode "clip", unlike "raise",
+    # writes straight into ``out`` without buffering it.
     rows = (ancestors + ns * np.arange(n_rows)[:, None]).ravel()
+    gathered = np.empty((n_lags, n_rows * ns))
+    fresh.reshape(-1).take(rows, out=gathered[0], mode="clip")
+    ring[:-1].reshape(n_lags - 1, n_rows * ns).take(
+        rows, axis=1, out=gathered[1:], mode="clip"
+    )
     return _SirStep(
         propagated=state,
         likelihood=like,
@@ -358,7 +379,7 @@ def _sir_step(state, clean, prior_weights, base, y_k, model, k, rngs, weights):
         log_mean_likelihood=log_mean_like,
         ancestors=ancestors,
         state=flat.take(rows, axis=0).reshape(state.shape),
-        clean=clean.reshape(n_rows * ns, -1).take(rows, axis=0).reshape(clean.shape),
+        ring=gathered.reshape(n_lags, n_rows, ns),
     )
 
 
@@ -374,7 +395,7 @@ def filter_step(
     """
     weights, drop = delay_pmf(ps.params)
     step = _sir_step(
-        ps.state[None], ps.clean[None], ps.weights, (drop * ps.prev_likelihood)[None],
+        ps.state[None], ps.clean.T[:, None], ps.weights, (drop * ps.prev_likelihood)[None],
         y_k, model, k, (rng,), weights,
     )
     w, like, ancestors = step.weights[0], step.likelihood[0], step.ancestors[0]
@@ -388,7 +409,7 @@ def filter_step(
     )
     new_ps = ParticleSet(
         state=step.state[0],
-        clean=step.clean[0],
+        clean=step.ring[:, 0].T,
         weights=np.full(ps.ns, 1.0 / ps.ns),
         prev_likelihood=like[ancestors],
         params=ps.params,

@@ -157,14 +157,17 @@ class CandidateFilterState:
 
     Row c of ``state`` (C, ns, state_dim) and of the clean-measurement ring
     ``clean`` (C, ns, N+1) is candidate c's particle set; every step
-    resamples, so its weights are uniform between steps. Every row consumes
-    the identical measurement sequence. ``rngs`` holds one stream per
-    candidate, ``rngs[c]`` for row c, or, under common random numbers, a
-    single stream whose draws every row shares. ``age_weights`` (C, N+1)
-    and ``repeat_probs`` (C,) hold each candidate's `content_age_weights`
-    and `repeat_probability`, which depend on nothing else.
-    ``prev_measurement`` is the last delivery processed, used to detect
-    exact repeats.
+    resamples, so its weights are uniform between steps. The bank stores
+    the ring lag-major, as an (N+1, C, ns) array whose row j is lag j of
+    every particle of every candidate; ``clean`` is its view with the lag
+    axis moved last, and a ring built in (C, ns, N+1) C order works as
+    well. Every row consumes the identical measurement sequence. ``rngs``
+    holds one stream per candidate, ``rngs[c]`` for row c, or, under
+    common random numbers, a single stream whose draws every row shares.
+    ``age_weights`` (C, N+1) and ``repeat_probs`` (C,) hold each
+    candidate's `content_age_weights` and `repeat_probability`, which
+    depend on nothing else. ``prev_measurement`` is the last delivery
+    processed, used to detect exact repeats.
     """
 
     candidates: np.ndarray
@@ -218,10 +221,11 @@ def init_candidate_filters(
     rngs = [base.substream(idx) for idx in range(1 if common_random_numbers else len(params))]
     sets = [init_filter(model, prm, ns, rng) for prm, rng in zip(params, rngs)]
     copies = len(params) // len(sets)  # under CRN every candidate copies the one draw
+    ring = np.repeat(np.stack([ps.clean.T for ps in sets], axis=1), copies, axis=1)
     return CandidateFilterState(
         candidates=candidates,
         state=np.repeat(np.stack([ps.state for ps in sets]), copies, axis=0),
-        clean=np.repeat(np.stack([ps.clean for ps in sets]), copies, axis=0),
+        clean=np.moveaxis(ring, 0, -1),
         log_likelihoods=np.zeros(len(candidates)),
         rngs=rngs,
         age_weights=np.stack([content_age_weights(prm) for prm in params]),
@@ -263,8 +267,9 @@ def ll_step(
     )
     n_cands, ns = cand.state.shape[:2]
     step = _sir_step(
-        cand.state, cand.clean, np.full(ns, 1.0 / ns), np.zeros((n_cands, ns)),
-        y_k, model, k, cand.rngs, np.ones(1) if undelayed else cand.age_weights,
+        cand.state, np.moveaxis(cand.clean, -1, 0), np.full(ns, 1.0 / ns),
+        np.zeros((n_cands, ns)), y_k, model, k, cand.rngs,
+        np.ones(1) if undelayed else cand.age_weights,
     )
     if accumulate:
         with np.errstate(divide="ignore"):
@@ -272,7 +277,7 @@ def ll_step(
                 cand.log_likelihoods += np.log(cand.repeat_probs)
             else:
                 cand.log_likelihoods += np.log1p(-cand.repeat_probs) + step.log_mean_likelihood
-    cand.state, cand.clean = step.state, step.clean
+    cand.state, cand.clean = step.state, np.moveaxis(step.ring, 0, -1)
     cand.step = k
     cand.prev_measurement = y_k
     return cand
@@ -290,8 +295,9 @@ def offline_identify(
     """Grid-search the latency probability over a fixed measurement batch.
 
     Ties break toward the lowest candidate. Raises DomainError, before any
-    filter work, if a delivery is not finite, and IdentificationError if
-    every candidate's log-likelihood is -inf.
+    filter work, if a delivery is not finite. A -inf score never recovers,
+    so the search stops at the first step where every candidate scores
+    -inf and raises IdentificationError naming that step.
     """
     y = np.asarray(measurements, dtype=float)
     if len(y) < 2:
@@ -301,9 +307,9 @@ def offline_identify(
     cand = ll_step(cand, y[0], model, k=1, accumulate=False, undelayed=True)
     for k in range(2, len(y) + 1):
         cand = ll_step(cand, y[k - 1], model, k)
+        if not np.isfinite(cand.log_likelihoods).any():
+            raise IdentificationError(f"all candidates scored -inf at step {k}; cannot identify")
     lls = cand.log_likelihoods
-    if not np.any(np.isfinite(lls)):
-        raise IdentificationError("all candidates scored -inf; cannot identify")
     idx = int(np.argmax(lls))  # the first maximum: ties go to the lowest candidate
     return IdentificationResult(
         p_hat=Probability(cand.candidates[idx]),

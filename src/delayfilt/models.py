@@ -64,7 +64,8 @@ def _wrap_to_pi(theta):
     shifted = np.asarray(theta, dtype=float) + np.pi
     if ((shifted < 0.0) | (shifted >= _TWO_PI)).any():
         shifted = np.remainder(shifted, _TWO_PI)
-    return shifted - np.pi
+    shifted -= np.pi
+    return shifted
 
 
 def wrap_angle(theta):
@@ -139,9 +140,18 @@ class GrowthModelParams:
 
 
 def growth_mean(x, k: int):
-    """Deterministic part of the growth-model state transition to step k."""
+    """Deterministic part of the growth-model state transition to step k.
+
+    Evaluates 0.5 x + 25 x / (1 + x^2) + 8 cos(1.2 k) with the rounding of
+    that expression, in two buffers.
+    """
     x = np.asarray(x, dtype=float)
-    out = 0.5 * x + 25.0 * x / (1.0 + x * x) + 8.0 * math.cos(1.2 * k)
+    den = np.multiply(x, x, out=np.empty(x.shape))
+    den += 1.0
+    out = np.multiply(25.0, x, out=np.empty(x.shape))
+    out /= den
+    out += np.multiply(0.5, x, out=den)
+    out += 8.0 * math.cos(1.2 * k)
     return float(out) if out.ndim == 0 else out
 
 
@@ -149,14 +159,16 @@ def growth_propagate(x, k: int, rng: RngStream, process_var: float = 10.0):
     """One state transition of the growth model, process noise included."""
     x = np.asarray(x, dtype=float)
     noise = rng.normal(0.0, math.sqrt(process_var), size=x.shape if x.ndim else None)
-    out = growth_mean(x, k) + noise
+    out = growth_mean(x, k)
+    out += noise
     return float(out) if np.ndim(out) == 0 else out
 
 
 def growth_measure(x):
     """Clean growth-model measurement x^2 / 20 (even in x)."""
     x = np.asarray(x, dtype=float)
-    out = x * x / 20.0
+    out = x * x
+    out /= 20.0
     return float(out) if out.ndim == 0 else out
 
 

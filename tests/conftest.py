@@ -72,6 +72,12 @@ class ScalarModel(SystemModel):
         return self.prior_sample(rng, 1)[0]
 
 
+def oracle_growth_mean(x, k):
+    """The growth transition mean as one expression, with a temporary for every operation."""
+    x = np.asarray(x, dtype=float)
+    return 0.5 * x + 25.0 * x / (1.0 + x * x) + 8.0 * math.cos(1.2 * k)
+
+
 def oracle_wrap_to_pi(theta):
     """The bearing residual wrap as one unconditional remainder."""
     return np.remainder(np.asarray(theta, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
@@ -129,6 +135,34 @@ class OracleBotModel(BotModel):
 
     def meas_noise_logpdf(self, residual, k):
         return _normal_logpdf(self._wrap(residual), 0.0, self.params.meas_var)
+
+
+def oracle_normal_pdf(x, mean, variance):
+    """The normal density as one expression, with a temporary for every operation."""
+    d = np.asarray(x, dtype=float) - mean
+    return np.exp(-0.5 * d * d / variance) / np.sqrt(2.0 * math.pi * variance)
+
+
+def reference_ring_step(clean, fresh, ancestors):
+    """The particle-major ring update: concatenate a shifted ring, then gather rows.
+
+    ``clean`` is the (C, ns, N+1) ring before the step, ``fresh`` the (C, ns)
+    clean measurements of the propagated states and ``ancestors`` the (C, ns)
+    resampling indices of each row. Returns the (C, ns, N+1) ring after it.
+    """
+    n_rows, ns = fresh.shape
+    shifted = np.concatenate([fresh[..., None], clean[..., :-1]], axis=-1)
+    rows = (ancestors + ns * np.arange(n_rows)[:, None]).ravel()
+    return shifted.reshape(n_rows * ns, -1).take(rows, axis=0).reshape(shifted.shape)
+
+
+class ReadOnlyDensityModel(ScalarModel):
+    """ScalarModel whose density hands back a read-only array."""
+
+    def meas_noise_pdf(self, residual, k):
+        out = super().meas_noise_pdf(residual, k)
+        out.flags.writeable = False
+        return out
 
 
 def assert_same_bits(actual, expected):

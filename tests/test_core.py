@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import integrate
 
 from delayfilt import DomainError, Probability, RngStream, derive_seed
 from delayfilt.core import _normal_logpdf, _normal_pdf
+from conftest import assert_same_bits, oracle_normal_pdf
+
+# signed zeros, subnormals, values whose square is subnormal or overflows,
+# infinities and NaN
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160, -3e-161, 1.5e154, 1e308,
+     -1e308, math.inf, -math.inf, math.nan]
+)
+_PDF_INPUTS = _EDGE_VALUES | st.floats(allow_nan=True, allow_infinity=True)
 
 
 class TestProbability:
@@ -56,6 +66,32 @@ class TestGaussianPdf:
         out = _normal_pdf(np.array([0.0, 1.0]), 0.0, 1.0)
         assert out.shape == (2,)
         assert out[0] == pytest.approx(0.3989422804014327)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["scalar", "0-d", "1-D", "2-D", "2-D transposed"]),
+        mean=st.sampled_from([0.0, -0.0, 1.5, -3.25, 1e308]) | st.floats(-1e3, 1e3),
+        # 1e306 and the subnormal 1e-310 bring an overflowed or subnormal d d back into range
+        variance=st.sampled_from([1.0, 0.25, 17.3, math.radians(3.0) ** 2, 1e-310, 1e306]),
+    )
+    def test_in_place_kernel_matches_one_expression(self, data, kind, mean, variance):
+        if kind == "scalar":
+            x = data.draw(_PDF_INPUTS)
+        elif kind == "0-d":
+            x = np.array(data.draw(_PDF_INPUTS))
+        else:
+            dims = 1 if kind == "1-D" else 2
+            x = data.draw(arrays(np.float64, array_shapes(min_dims=dims, max_dims=dims, max_side=5),
+                                 elements=_PDF_INPUTS))
+            if kind == "2-D transposed":
+                x = x.T
+        before = np.array(x, copy=True)
+        with np.errstate(all="ignore"):
+            got, want = _normal_pdf(x, mean, variance), oracle_normal_pdf(x, mean, variance)
+        assert type(got) is type(want)
+        assert_same_bits(got, want)
+        assert_same_bits(x, before)
 
 
 class TestGaussianSample:

@@ -8,6 +8,7 @@ from delayfilt import (
     ConfigError,
     ContractError,
     DomainError,
+    GridSpec,
     GrowthModel,
     LatencyParams,
     NumericError,
@@ -17,17 +18,22 @@ from delayfilt import (
     delayed_likelihood,
     filter_step,
     generate_truth,
+    init_candidate_filters,
     init_filter,
+    ll_step,
     run_filter,
     systematic_resample,
     write_step_diagnostics,
 )
 from delayfilt import filtering
 from conftest import (
+    ReadOnlyDensityModel,
     ScalarModel,
     ScriptedRng,
+    assert_same_bits,
     oracle_delayed_likelihood,
     reference_history_filter,
+    reference_ring_step,
     reference_sir,
     reference_systematic_rows,
 )
@@ -432,6 +438,61 @@ def test_single_particle_filter(monkeypatch, model_name, max_delay, p):
         assert diag.ess == 1.0
         assert np.isfinite(diag.likelihood).all()
     assert np.isfinite(means).all()
+
+
+@pytest.mark.parametrize("layout", ["lag-major", "particle-major"])
+@pytest.mark.parametrize("max_delay", [0, 1, 3])
+def test_sir_step_ring_matches_concatenate_then_take(layout, max_delay):
+    # the lag-major gather must equal shifting the particle-major ring and
+    # taking whole rows, for a C-ordered (C, ns, N+1) ring as well
+    n_rows, ns, model = 3, 6, ScalarModel()
+    draws = RngStream(95)
+    state = draws.normal(0.0, 1.0, (n_rows, ns, 1))
+    clean = draws.normal(0.0, 1.0, (n_rows, ns, max_delay + 1))
+    ring = np.moveaxis(clean, -1, 0)
+    if layout == "lag-major":
+        ring = np.ascontiguousarray(ring)
+    snapshot = clean.copy()
+    weights = np.full(max_delay + 1, 1.0 / (max_delay + 1))
+    rngs = [RngStream(96, (c,)) for c in range(n_rows)]
+    step = filtering._sir_step(
+        state, ring, np.full(ns, 1.0 / ns), np.zeros((n_rows, ns)), 0.3, model, 4, rngs, weights
+    )
+    fresh = model.measure_clean(step.propagated.reshape(-1, 1), 4).reshape(n_rows, ns)
+    assert step.ring.flags.c_contiguous
+    assert_same_bits(np.moveaxis(step.ring, 0, -1), reference_ring_step(clean, fresh, step.ancestors))
+    assert_same_bits(clean, snapshot)
+    assert not np.array_equal(step.ancestors, np.tile(np.arange(ns), (n_rows, 1)))
+
+
+@pytest.mark.parametrize("crn", [False, True])
+@pytest.mark.parametrize("max_delay", [0, 2])
+def test_read_only_density_and_stored_ring(max_delay, crn):
+    # the mixture writes neither into the array the density returns nor into
+    # the stored ring: with both read-only, every output keeps its bits
+    ys = RngStream(90).normal(0.0, 1.5, 8)
+    plain, read_only = ScalarModel(), ReadOnlyDensityModel()
+    params = LatencyParams(0.5, max_delay)
+    ps_a, ps_b = (init_filter(plain, params, 20, RngStream(91)) for _ in range(2))
+    rng_a, rng_b = RngStream(92), RngStream(92)
+    grid = GridSpec(0.25)
+    cand_a, cand_b = (init_candidate_filters(grid, plain, max_delay, 20, 93, crn) for _ in range(2))
+    for k, y in enumerate(ys, start=1):
+        ring, cand_ring = ps_b.clean, cand_b.clean
+        snapshots = ring.copy(), cand_ring.copy()
+        ring.flags.writeable = cand_ring.flags.writeable = False
+        ps_a, est_a = filter_step(ps_a, y, plain, k, rng_a)
+        ps_b, est_b = filter_step(ps_b, y, read_only, k, rng_b)
+        cand_a = ll_step(cand_a, y, plain, k, accumulate=k >= 2, undelayed=k == 1)
+        cand_b = ll_step(cand_b, y, read_only, k, accumulate=k >= 2, undelayed=k == 1)
+        assert_same_bits(ring, snapshots[0])
+        assert_same_bits(cand_ring, snapshots[1])
+        assert_same_bits(est_b.mean, est_a.mean)
+        for got, want in [(ps_b.state, ps_a.state), (ps_b.clean, ps_a.clean),
+                          (ps_b.prev_likelihood, ps_a.prev_likelihood),
+                          (cand_b.log_likelihoods, cand_a.log_likelihoods),
+                          (cand_b.state, cand_a.state), (cand_b.clean, cand_a.clean)]:
+            assert_same_bits(got, want)
 
 
 def test_step_diagnostics_csv(tmp_path, scalar_model):

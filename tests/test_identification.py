@@ -137,7 +137,7 @@ class TestIdentificationLikelihood:
         expected = math.fsum(
             float(weights[d]) * norm_pdf(0.3 - float(clean[0, d])) for d in range(3)
         )
-        value = _lag_mixture(clean, 0.3, weights, scalar_model, 9, np.zeros(1))
+        value = _lag_mixture(clean.T, 0.3, weights, scalar_model, 9, np.zeros(1))
         assert value[0] == pytest.approx(expected, rel=1e-13)
 
     def test_ignores_cache_argument(self, scalar_model):
@@ -505,6 +505,19 @@ class TestOfflineIdentify:
         y = np.array([0.5, 0.5, 0.7])  # exact repeat, impossible at p = 0
         with pytest.raises(IdentificationError):
             offline_identify(y, GridSpec.from_candidates([0.0]), scalar_model, 1, 10, 70)
+
+    def test_stops_at_the_step_that_eliminates_every_candidate(self, scalar_model, monkeypatch):
+        calls = []
+
+        def counted(cand, y_k, model, k, **kwargs):
+            calls.append(k)
+            return ll_step(cand, y_k, model, k, **kwargs)
+
+        monkeypatch.setattr(identification, "ll_step", counted)
+        y = np.array([0.5, 0.5, 0.7, -0.2, 0.1, 0.9])  # the repeat at step 2 is impossible at p = 0
+        with pytest.raises(IdentificationError, match="step 2"):
+            offline_identify(y, GridSpec.from_candidates([0.0]), scalar_model, 1, 10, 70)
+        assert calls == [1, 2]
 
     def test_curve_and_maximum_consistent(self, scalar_model):
         y = RngStream(71).normal(0, 1, 30)

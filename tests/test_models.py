@@ -31,6 +31,7 @@ from conftest import (
     oracle_bot_mean,
     oracle_bot_measure,
     oracle_bot_propagate,
+    oracle_growth_mean,
     oracle_wrap_to_pi,
 )
 
@@ -59,6 +60,20 @@ class TestGrowthTransition:
 
     def test_propagate_scripted(self):
         assert growth_propagate(1.0, 0, ScriptedRng(normals=[0.0])) == pytest.approx(21.0)
+
+    @given(
+        x=arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=5),
+                 elements=st.floats(allow_nan=True, allow_infinity=True)
+                 | st.sampled_from([-0.0, 5e-324, 1e-160, 1.5e154, 1e308])),
+        k=st.integers(0, 500),
+    )
+    def test_in_place_mean_matches_one_expression(self, x, k):
+        before = x.copy()
+        with np.errstate(all="ignore"):
+            got, want = growth_mean(x, k), oracle_growth_mean(x, k)
+        assert type(got) is (float if x.ndim == 0 else np.ndarray)
+        assert_same_bits(got, want)
+        assert_same_bits(x, before)
 
 
 class TestGrowthMeasurement:
