@@ -3,8 +3,13 @@
 A ScenarioConfig plus one master seed determines every random draw in a
 study, so repeated runs emit byte-identical CSVs. Within a Monte Carlo
 run, every filter variant consumes the identical delivered-measurement
-sequence; variant streams are keyed by the variant's parameters so that
-identically configured variants reproduce each other exactly.
+sequence, and the variants advance as one bank on the run's one filter
+stream: they share the prior draw, each step's propagation noise and each
+step's resampling uniform (common random numbers), which pairs their RMSE
+comparison. A variant's estimates therefore depend only on its own (p, N),
+the run's deliveries and that stream, not on which other variants run
+beside it, and identically configured variants reproduce each other
+exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import yaml
 from .core import RngStream, derive_seed
 from .delay_channel import DelayChannel, DelayOutcome, LatencyParams
 from .errors import ConfigError, ContractError, DelayFiltError
-from .filtering import init_filter, run_filter
+from .filtering import _run_filter_bank
 from .identification import (
     GridSpec,
     init_online_identification,
@@ -247,45 +252,36 @@ class RunMetrics:
     online_trace: Optional[np.ndarray] = None   # (steps, 2): p_hat, running avg
 
 
-def _variant_stream(config: ScenarioConfig, run: int, variant: FilterVariant) -> RngStream:
-    # keyed by the variant's effective parameters so identically configured
-    # variants consume identical streams
-    p = variant.resolve_p(config.p_true)
-    return RngStream(
-        derive_seed(config.seed, _ROLE_FILTER, run, variant.max_delay, int(round(p * 1e9)))
-    )
-
-
 def run_monte_carlo(config: ScenarioConfig) -> RunMetrics:
-    """Fresh truth per run; every variant filters the same deliveries."""
+    """Fresh truth per run; every variant filters the same deliveries.
+
+    A run's variants advance as one bank on the run's single filter stream
+    (see `filtering._run_filter_bank`), so they are compared on common
+    random numbers. A run in which the bank raises is counted as failed and
+    left out of every variant's RMSE.
+    """
     model = config.build_model()
-    n = config.n_steps
-    estimates = {v.name: [] for v in config.variants}
+    params = [LatencyParams(v.resolve_p(config.p_true), v.max_delay) for v in config.variants]
+    estimates = []
     truths = []
     failed = 0
     for run in range(config.mc_runs):
         truth = generate_truth(config, derive_seed(config.seed, _ROLE_TRUTH, run))
+        rng = RngStream(derive_seed(config.seed, _ROLE_FILTER, run))
         try:
-            run_estimates = {}
-            for variant in config.variants:
-                params = LatencyParams(variant.resolve_p(config.p_true), variant.max_delay)
-                rng = _variant_stream(config, run, variant)
-                ps = init_filter(model, params, config.ns, rng)
-                _, means = run_filter(ps, truth.y, model, rng)
-                run_estimates[variant.name] = means
+            estimates.append(_run_filter_bank(params, truth.y, model, config.ns, rng))
         except DelayFiltError:
             failed += 1
             continue
         truths.append(truth.states[1:])
-        for name, means in run_estimates.items():
-            estimates[name].append(means)
 
     if not truths:
         raise DelayFiltError(f"all {config.mc_runs} Monte Carlo runs failed")
     truths_arr = np.stack(truths)
+    estimates_arr = np.stack(estimates)  # (runs, variants, steps, state_dim)
     metrics = RunMetrics(failed_runs=failed)
-    for variant in config.variants:
-        series = rmse(np.stack(estimates[variant.name]), truths_arr)
+    for c, variant in enumerate(config.variants):
+        series = rmse(estimates_arr[:, c], truths_arr)
         metrics.per_step_rmse[variant.name] = series
         metrics.avg_rmse[variant.name] = series.mean(axis=0)
     return metrics

@@ -17,7 +17,9 @@ Resampling is systematic and happens every step; ancestor selection
 re-draws states, measurement rings and cached likelihood values together.
 The SIR step itself works on a bank of particle sets stacked on a leading
 axis: the filter runs it on a one-row bank, identification on one row per
-candidate latency probability.
+candidate latency probability, and a Monte Carlo run on one row per filter
+variant, every row drawing from the run's one stream (common random
+numbers), so each row equals the filter of its own on that stream.
 
 Choosing the maximum admissible delay trades off two effects: a small N
 loses information when delays are long (the loss branch swallows them),
@@ -130,23 +132,28 @@ def _lag_mixture(lags, y_k, weights, model, k, base):
 
     ``lags[j]`` is the (..., ns) clean measurement of lag j, so ``lags`` is
     a lag-major (n_lags, ..., ns) ring or a sequence of its rows;
-    ``weights`` is (..., n_lags) and ``base`` (..., ns), and the leading
-    axes, if any, are the rows of a bank. Lag j is scored at step
-    max(k - j, 1), mirroring the channel's startup clamp. Each lag's
-    residual and weighted density pass through one scratch buffer; the
-    ring and the arrays the model returns are only read. A lag whose
-    weights are all zero is skipped; a zero weight in a lag that is scored
-    adds 0 * pdf, which leaves the sum's bits unchanged. Raises
-    NumericError on a non-finite result rather than letting it propagate.
+    ``base`` is (..., ns), and the leading axes, if any, are the rows of a
+    bank. ``weights`` is (n_lags,), shared by every row, or (C, n_lags),
+    one row each. Lag j is scored at step max(k - j, 1), mirroring the
+    channel's startup clamp. Each lag's residual and weighted density pass
+    through one scratch buffer; the ring and the arrays the model returns
+    are only read. A lag whose weights are all zero is skipped, and with
+    per-row weights a lag is scored only up to the last row that weights
+    it: a zero weight adds 0 * pdf = +0, which leaves the sum's bits
+    unchanged, so a bank ordered deepest-first skips what a filter of its
+    own would. Raises NumericError on a non-finite result rather than
+    letting it propagate.
     """
     scratch = np.empty(base.shape)
     for j in range(weights.shape[-1]):
-        w_j = weights[..., j, None]
-        if not w_j.any():
+        weighted = np.flatnonzero(weights[..., j])
+        if not weighted.size:
             continue
-        np.subtract(y_k, lags[j], out=scratch)
-        pdf = model.meas_noise_pdf(scratch, max(k - j, 1))
-        base += np.multiply(w_j, pdf, out=scratch)
+        rows = slice(weighted[-1] + 1) if weights.ndim > 1 else slice(None)
+        out, total = scratch[rows], base[rows]
+        np.subtract(y_k, lags[j][rows], out=out)
+        pdf = model.meas_noise_pdf(out, max(k - j, 1))
+        total += np.multiply(weights[..., j, None][rows], pdf, out=out)
     if not np.isfinite(base).all():
         raise NumericError(f"non-finite likelihood at step {k}")
     return base
@@ -280,6 +287,7 @@ class _SirStep(NamedTuple):
     underflow: np.ndarray           # (C,) rows reset to uniform
     log_mean_likelihood: np.ndarray  # (C,) log of each row's mean likelihood
     ancestors: np.ndarray           # (C, ns)
+    rows: np.ndarray                # (C*ns,) flat index of each ancestor in the bank
     state: np.ndarray               # (C, ns, d) resampled
     ring: np.ndarray                # (N+1, C, ns) resampled, lag-major
 
@@ -378,9 +386,28 @@ def _sir_step(state, ring, prior_weights, base, y_k, model, k, rngs, weights):
         underflow=underflow,
         log_mean_likelihood=log_mean_like,
         ancestors=ancestors,
+        rows=rows,
         state=flat.take(rows, axis=0).reshape(state.shape),
         ring=gathered.reshape(n_lags, n_rows, ns),
     )
+
+
+def _filter_bank_step(state, ring, prior_weights, prev_likelihood, drops, y_k, model, k, rngs,
+                      weights):
+    """One filter step for a bank of C filters that may differ in (p, N).
+
+    Row c scores its loss branch ``drops[c] * prev_likelihood[c]`` plus the
+    lag mixture of its channel weights ``weights[c]``, zero-padded to the
+    ring's depth (see `_sir_step`), then estimates ``w_c @ x_c`` from its
+    propagated particles and carries forward the likelihoods its ancestors
+    select. A filter of its own is the one-row bank. Returns the
+    `_SirStep`, the (C, d) estimates and the (C, ns) carried likelihoods.
+    """
+    base = drops[:, None] * prev_likelihood
+    step = _sir_step(state, ring, prior_weights, base, y_k, model, k, rngs, weights)
+    means = np.stack([w @ x for w, x in zip(step.weights, step.propagated)])
+    prev = step.likelihood.reshape(-1).take(step.rows, mode="clip")
+    return step, means, prev.reshape(step.likelihood.shape)
 
 
 def filter_step(
@@ -394,29 +421,29 @@ def filter_step(
     estimates, then resamples every step.
     """
     weights, drop = delay_pmf(ps.params)
-    step = _sir_step(
-        ps.state[None], ps.clean.T[:, None], ps.weights, (drop * ps.prev_likelihood)[None],
-        y_k, model, k, (rng,), weights,
+    step, means, prev = _filter_bank_step(
+        ps.state[None], ps.clean.T[:, None], ps.weights, ps.prev_likelihood[None],
+        np.array([drop]), y_k, model, k, (rng,), weights,
     )
-    w, like, ancestors = step.weights[0], step.likelihood[0], step.ancestors[0]
+    w = step.weights[0]
     diagnostics = StepDiagnostics(
         step=k,
         ess=effective_sample_size(w),
         underflow=bool(step.underflow[0]),
         log_mean_likelihood=float(step.log_mean_likelihood[0]),
-        ancestors=ancestors,
-        likelihood=like,
+        ancestors=step.ancestors[0],
+        likelihood=step.likelihood[0],
     )
     new_ps = ParticleSet(
         state=step.state[0],
         clean=step.ring[:, 0].T,
         weights=np.full(ps.ns, 1.0 / ps.ns),
-        prev_likelihood=like[ancestors],
+        prev_likelihood=prev[0],
         params=ps.params,
         step=k,
         diagnostics=diagnostics,
     )
-    return new_ps, FilterEstimate(mean=w @ step.propagated[0], step=k)
+    return new_ps, FilterEstimate(mean=means[0], step=k)
 
 
 def _check_deliveries(y: np.ndarray) -> None:
@@ -440,6 +467,59 @@ def run_filter(
         ps, est = filter_step(ps, y_k, model, k, rng)
         means[k - 1] = est.mean
     return ps, means
+
+
+def _init_bank(model: SystemModel, max_delay: int, ns: int, rngs, n_rows: int):
+    """Prior draws of a bank of ``n_rows`` particle sets with (max_delay+1)-deep rings.
+
+    Row c draws as `init_filter` does from ``rngs[c]``; a single stream
+    (common random numbers) draws once and every row copies that draw.
+    Returns the (C, ns, d) states and the lag-major (N+1, C, ns) ring.
+    """
+    sets = [init_filter(model, LatencyParams(0.0, max_delay), ns, rng) for rng in rngs]
+    copies = n_rows // len(sets)
+    state = np.repeat(np.stack([ps.state for ps in sets]), copies, axis=0)
+    ring = np.repeat(np.stack([ps.clean.T for ps in sets], axis=1), copies, axis=1)
+    return state, ring
+
+
+def _run_filter_bank(
+    params, measurements, model: SystemModel, ns: int, rng: RngStream
+) -> np.ndarray:
+    """Run one filter per entry of ``params`` over the same deliveries, as one bank.
+
+    Every row shares ``rng``: the bank draws the prior, each step's
+    propagation noise and each step's resampling uniform once for all rows
+    (common random numbers). Row c therefore equals, bit for bit,
+    ``run_filter(init_filter(model, params[c], ns, s), measurements,
+    model, s)`` on a stream ``s`` seeded as ``rng``. The rows are advanced
+    deepest-first, so `_lag_mixture` scores each lag only on the rows that
+    weight it. Returns the (C, n_steps, state_dim) estimates in the order
+    of ``params``. Raises DomainError, before any filter work, if a
+    delivery is not finite.
+    """
+    y = np.asarray(measurements, dtype=float)
+    _check_deliveries(y)
+    if not params:
+        return np.empty((0, len(y), model.state_dim))
+    order = sorted(range(len(params)), key=lambda c: -params[c].max_delay)
+    n_lags = params[order[0]].max_delay + 1
+    weights = np.zeros((len(order), n_lags))
+    drops = np.empty(len(order))
+    for row, c in enumerate(order):
+        pmf, drops[row] = delay_pmf(params[c])
+        weights[row, :pmf.size] = pmf
+    state, ring = _init_bank(model, n_lags - 1, ns, (rng,), len(order))
+    prev = np.ones((len(order), ns))
+    prior = np.full(ns, 1.0 / ns)
+    means = np.empty((len(order), len(y), model.state_dim))
+    for k, y_k in enumerate(y, start=1):
+        step, means[:, k - 1], prev = _filter_bank_step(
+            state, ring, prior, prev, drops, y_k, model, k, (rng,), weights
+        )
+        state, ring = step.state, step.ring
+        del step  # release this step's arrays before the next step makes its own
+    return means[np.argsort(order)]
 
 
 def write_step_diagnostics(path, records) -> None:

@@ -50,7 +50,7 @@ import numpy as np
 from .core import Probability, RngStream
 from .delay_channel import LatencyParams
 from .errors import ConfigError, DomainError, IdentificationError
-from .filtering import _check_deliveries, _sir_step, init_filter
+from .filtering import _check_deliveries, _init_bank, _sir_step
 from .models import SystemModel
 
 __all__ = [
@@ -219,12 +219,10 @@ def init_candidate_filters(
     candidates = np.asarray(grid.candidates, dtype=float)
     params = [LatencyParams(p_c, max_delay) for p_c in candidates]
     rngs = [base.substream(idx) for idx in range(1 if common_random_numbers else len(params))]
-    sets = [init_filter(model, prm, ns, rng) for prm, rng in zip(params, rngs)]
-    copies = len(params) // len(sets)  # under CRN every candidate copies the one draw
-    ring = np.repeat(np.stack([ps.clean.T for ps in sets], axis=1), copies, axis=1)
+    state, ring = _init_bank(model, max_delay, ns, rngs, len(params))
     return CandidateFilterState(
         candidates=candidates,
-        state=np.repeat(np.stack([ps.state for ps in sets]), copies, axis=0),
+        state=state,
         clean=np.moveaxis(ring, 0, -1),
         log_likelihoods=np.zeros(len(candidates)),
         rngs=rngs,
@@ -338,13 +336,17 @@ def online_identify_step(
     At step 1 the scores are still flat, so the argmax falls on the lowest
     candidate; the running average is the mean of all per-step estimates
     so far, including that one. A non-finite delivery raises DomainError
-    before any candidate advances.
+    before any candidate advances. A -inf score never recovers, so once
+    every candidate scores -inf the step raises IdentificationError naming
+    it, as `offline_identify` does, rather than taking an argmax of nothing.
     """
     if not np.all(np.isfinite(y_k)):
         raise DomainError(f"delivery at step {k} is not finite: {y_k}")
     state.cand = ll_step(
         state.cand, y_k, model, k, accumulate=(k >= 2), undelayed=(k == 1)
     )
+    if not np.isfinite(state.cand.log_likelihoods).any():
+        raise IdentificationError(f"all candidates scored -inf at step {k}; cannot identify")
     idx = int(np.argmax(state.cand.log_likelihoods))
     p_hat = Probability(state.cand.candidates[idx])
     state.estimates.append(float(p_hat))

@@ -16,6 +16,7 @@ from delayfilt import (
     bot_measure,
     delay_pmf,
     generate_truth,
+    init_filter,
     load_config,
     rmse,
     run_filter,
@@ -25,6 +26,7 @@ from delayfilt import (
     write_outputs,
 )
 from delayfilt.cli import main as cli_main
+from delayfilt.core import derive_seed
 from delayfilt.experiments import run_id, write_manifest
 
 
@@ -158,6 +160,33 @@ class TestRunMonteCarlo:
         metrics = run_monte_carlo(cfg)
         assert np.array_equal(metrics.per_step_rmse["a"], metrics.per_step_rmse["b"])
 
+    def test_variants_filter_on_the_run_stream(self):
+        # each variant is the filter of its own that the run's one filter
+        # stream drives, whatever variants run beside it
+        from delayfilt.experiments import _ROLE_FILTER, _ROLE_TRUTH
+
+        cfg = small_config(mc_runs=1)
+        model = cfg.build_model()
+        truth = generate_truth(cfg, derive_seed(cfg.seed, _ROLE_TRUTH, 0))
+        metrics = run_monte_carlo(cfg)
+        for variant in cfg.variants:
+            rng = RngStream(derive_seed(cfg.seed, _ROLE_FILTER, 0))
+            params = LatencyParams(variant.resolve_p(cfg.p_true), variant.max_delay)
+            _, means = run_filter(init_filter(model, params, cfg.ns, rng), truth.y, model, rng)
+            expected = rmse(means[None], truth.states[None, 1:])
+            assert np.array_equal(metrics.per_step_rmse[variant.name], expected)
+
+    def test_dropping_a_variant_keeps_the_others_outputs(self, tmp_path):
+        full = small_config(out_dir=str(tmp_path / "full"))
+        fewer = small_config(out_dir=str(tmp_path / "fewer"),
+                             variants=(full.variants[0], full.variants[2]))
+        for cfg in (full, fewer):
+            write_outputs(cfg.out_dir, cfg, "filter", run_monte_carlo(cfg))
+        for variant in fewer.variants:
+            name = f"rmse_{variant.name}.csv"
+            fewer_bytes = (tmp_path / "fewer" / name).read_bytes()
+            assert fewer_bytes == (tmp_path / "full" / name).read_bytes()
+
     def test_deterministic(self):
         cfg = small_config()
         a = run_monte_carlo(cfg)
@@ -289,14 +318,15 @@ class TestOutputs:
         from delayfilt.errors import NumericError
 
         calls = []
+        run_bank = experiments._run_filter_bank
 
         def failing_second_run(*args):
             calls.append(None)
-            if len(calls) == 4:  # first variant of the second Monte Carlo run
+            if len(calls) == 2:  # the bank of the second Monte Carlo run
                 raise NumericError("synthetic failure")
-            return run_filter(*args)
+            return run_bank(*args)
 
-        monkeypatch.setattr(experiments, "run_filter", failing_second_run)
+        monkeypatch.setattr(experiments, "_run_filter_bank", failing_second_run)
         cfg = small_config(out_dir=str(tmp_path / "out"))
         metrics = run_monte_carlo(cfg)
         write_outputs(cfg.out_dir, cfg, "filter", metrics)

@@ -495,6 +495,94 @@ def test_read_only_density_and_stored_ring(max_delay, crn):
             assert_same_bits(got, want)
 
 
+# depths 0-3 out of order, a duplicate, and an explicit p = 0 at depth 2
+BANK_PARAMS = [LatencyParams(0.6, 1), LatencyParams(0.0, 0), LatencyParams(0.6, 3),
+               LatencyParams(0.6, 1), LatencyParams(0.0, 2), LatencyParams(0.3, 2)]
+
+
+@pytest.mark.parametrize("ns", [1, 37])
+@pytest.mark.parametrize("model_name", ["growth", "bot"])
+def test_bank_rows_match_run_filter(model_name, ns):
+    # every row of a bank equals, bit for bit, a filter of its own on a
+    # stream seeded as the bank's, and the bank leaves its one stream where
+    # that filter leaves its own: one draw per step serves every row
+    cfg = ScenarioConfig(model=model_name, p_true=0.6, n_true=2, n_steps=20)
+    model = cfg.build_model()
+    ys = generate_truth(cfg, 75).y
+    bank_rng = RngStream(76)
+    bank = filtering._run_filter_bank(BANK_PARAMS, ys, model, ns, bank_rng)
+    assert bank.shape == (len(BANK_PARAMS), len(ys), model.state_dim)
+    for row, params in zip(bank, BANK_PARAMS):
+        rng = RngStream(76)
+        _, means = run_filter(init_filter(model, params, ns, rng), ys, model, rng)
+        assert_same_bits(row, means)
+    assert bank_rng.random() == rng.random()
+
+
+def test_bank_rejects_non_finite_delivery_before_filtering():
+    rng = RngStream(77)
+    with pytest.raises(DomainError, match="step 2"):
+        filtering._run_filter_bank(BANK_PARAMS, [0.3, np.inf, 1.0], GrowthModel(), 5, rng)
+    assert rng.random() == RngStream(77).random()
+
+
+class ShapeRecordingModel(ScalarModel):
+    """ScalarModel that records the shape of every residual block it scores."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes = []
+
+    def meas_noise_pdf(self, residual, k):
+        self.shapes.append(np.shape(residual))
+        return super().meas_noise_pdf(residual, k)
+
+
+def test_bank_orders_rows_deepest_first():
+    # deepest-first rows let every lag stop at the last row that weights it:
+    # lag 1 skips the depth-0 row, lag 2 the depth-0 and depth-1 rows, and
+    # lag 3 all but the depth-3 row
+    model = ShapeRecordingModel()
+    filtering._run_filter_bank(BANK_PARAMS, [0.3, -0.2], model, 4, RngStream(79))
+    assert model.shapes == [(6, 4), (5, 4), (3, 4), (1, 4)] * 2
+
+
+def _mixture_inputs(n_rows=3, ns=7, n_lags=4):
+    draws = RngStream(78)
+    ring = draws.normal(0.0, 1.0, (n_lags, n_rows, ns))
+    base = np.abs(draws.normal(0.0, 0.1, (n_rows, ns)))
+    return ring, base
+
+
+def test_lag_mixture_stops_each_lag_at_its_last_weighted_row():
+    # deepest-first rows with trailing zero weights: lag j is scored only on
+    # the rows up to the last that weights it, and the sums keep the bits of
+    # scoring every row, where each skipped term would have added +0
+    ring, base = _mixture_inputs()
+    weights = np.array([[0.2, 0.16, 0.128, 0.1],
+                        [0.5, 0.25, 0.0, 0.0],
+                        [1.0, 0.0, 0.0, 0.0]])
+    model = ShapeRecordingModel()
+    got = filtering._lag_mixture(ring, 0.4, weights, model, 9, base.copy())
+    assert model.shapes == [(3, 7), (2, 7), (1, 7), (1, 7)]
+    expected = base.copy()
+    for j in range(4):
+        expected += weights[:, j, None] * ScalarModel().meas_noise_pdf(0.4 - ring[j], 9 - j)
+    assert_same_bits(got, expected)
+
+
+def test_lag_mixture_scores_every_row_under_shared_weights():
+    ring, base = _mixture_inputs()
+    weights = np.array([0.5, 0.25, 0.0, 0.125])
+    model = ShapeRecordingModel()
+    got = filtering._lag_mixture(ring, 0.4, weights, model, 9, base.copy())
+    assert model.shapes == [(3, 7), (3, 7), (3, 7)]  # the all-zero lag 2 is skipped
+    expected = base.copy()
+    for j in range(4):
+        expected += weights[j] * ScalarModel().meas_noise_pdf(0.4 - ring[j], 9 - j)
+    assert_same_bits(got, expected)
+
+
 def test_step_diagnostics_csv(tmp_path, scalar_model):
     ps = init_filter(scalar_model, LatencyParams(0.5, 1), 10, RngStream(58))
     rng = RngStream(59)

@@ -552,6 +552,23 @@ class TestOnlineIdentify:
         assert np.array_equal(state.cand.log_likelihoods, before[1])
         assert state.estimates == before[2]
 
+    def test_all_eliminated_raises_naming_the_step(self):
+        # one outlier bearing underflows every candidate's likelihood at step
+        # 11; the argmax of all -inf scores would drift to the lowest candidate
+        cfg = ScenarioConfig(model="bot", p_true=0.5, n_true=2, n_steps=30)
+        model = cfg.build_model()
+        ys = generate_truth(cfg, 81).y.copy()
+        ys[10] = 40.0
+        state = init_online_identification(
+            GridSpec(0.1), model, 2, 200, 3, common_random_numbers=True
+        )
+        for k in range(1, 11):
+            state, _ = online_identify_step(state, ys[k - 1], model, k)
+        assert np.isfinite(state.cand.log_likelihoods).any()
+        with pytest.raises(IdentificationError, match="step 11"):
+            online_identify_step(state, ys[10], model, 11)
+        assert len(state.estimates) == 10
+
     def test_running_average_within_candidate_range(self, scalar_model):
         grid = GridSpec.from_candidates([0.2, 0.8])
         state = init_online_identification(grid, scalar_model, 1, 20, 75)
