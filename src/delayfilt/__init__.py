@@ -15,7 +15,6 @@ from .delay_channel import (
     LatencyParams,
     delay_pmf,
     empirical_delay_histogram,
-    write_outcome_trace,
 )
 from .errors import (
     ConfigError,
@@ -44,12 +43,10 @@ from .filtering import (
     ParticleSet,
     StepDiagnostics,
     delayed_likelihood,
-    effective_sample_size,
     filter_step,
     init_filter,
     run_filter,
     systematic_resample,
-    write_step_diagnostics,
 )
 from .identification import (
     CandidateFilterState,
@@ -63,7 +60,6 @@ from .identification import (
     offline_identify,
     online_identify_step,
     repeat_probability,
-    write_ll_curve,
 )
 from .models import (
     BotModel,
@@ -72,14 +68,6 @@ from .models import (
     GrowthModelParams,
     PlatformTrack,
     SystemModel,
-    bot_mean,
-    bot_measure,
-    bot_propagate,
-    bot_transition_matrix,
-    generate_platform_track,
-    growth_mean,
-    growth_measure,
-    growth_propagate,
     wrap_angle,
 )
 

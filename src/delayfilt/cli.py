@@ -46,9 +46,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+        if args.seed is not None:  # replacing re-validates the config
             config = dataclasses.replace(config, seed=args.seed)
         if args.out is not None:
             config = dataclasses.replace(config, out_dir=args.out)

@@ -12,9 +12,8 @@ P(delay = j) = p^j (1-p) and P(loss) = p^(N+1), exposed by `delay_pmf`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "DelayChannel",
     "delay_pmf",
     "empirical_delay_histogram",
-    "write_outcome_trace",
 ]
 
 
@@ -58,10 +56,6 @@ class DelayOutcome:
     @property
     def dropped(self) -> bool:
         return self.delay is None
-
-    @property
-    def kind(self) -> str:
-        return "dropped" if self.dropped else "delivered"
 
     @classmethod
     def delivered(cls, j: int) -> "DelayOutcome":
@@ -154,12 +148,3 @@ def empirical_delay_histogram(
     counts = np.bincount(delays, minlength=n_flags + 1)
     freq = counts / trials
     return freq[:n_flags], float(freq[n_flags])
-
-
-def write_outcome_trace(path, outcomes: Sequence[DelayOutcome] | Iterable[DelayOutcome]) -> None:
-    """Export a channel outcome trace as CSV rows (step, outcome_kind, delay_j)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "outcome_kind", "delay_j"])
-        for k, outcome in enumerate(outcomes, start=1):
-            writer.writerow([k, outcome.kind, "" if outcome.dropped else outcome.delay])

@@ -18,6 +18,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -25,9 +27,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .core import RngStream, derive_seed
+from .core import Probability, RngStream, derive_seed
 from .delay_channel import DelayChannel, DelayOutcome, LatencyParams
-from .errors import ConfigError, ContractError, DelayFiltError
+from .errors import ConfigError, ContractError, DelayFiltError, DomainError
 from .filtering import _run_filter_bank
 from .identification import (
     GridSpec,
@@ -35,7 +37,7 @@ from .identification import (
     offline_identify,
     online_identify_step,
 )
-from .models import BotModel, BotParams, GrowthModel, SystemModel, bot_measure, generate_platform_track
+from .models import BotModel, BotParams, GrowthModel, SystemModel
 
 __all__ = [
     "FilterVariant",
@@ -60,14 +62,43 @@ _ROLE_IDENT = 3
 MODES = ("filter", "identify-offline", "identify-online", "sweep")
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class FilterVariant:
     """One filter configuration to run; p = None means the true latency
-    probability (how deliberately-wrong-delay filters are benchmarked)."""
+    probability (how deliberately-wrong-delay filters are benchmarked).
+
+    The name names the variant's output file, so it must be a plain file
+    name part: not empty, not ``.`` or ``..``, and without path separators
+    or NUL.
+    """
 
     name: str
     max_delay: int
     p: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        _require(
+            isinstance(self.name, str) and self.name not in ("", ".", "..")
+            and not any(c in self.name for c in "/\\\0"),
+            f"variant name must be a plain file name part, got {self.name!r}",
+        )
+        _require(_is_int(self.max_delay) and self.max_delay >= 0,
+                 f"variant {self.name}: max_delay must be an integer >= 0, got {self.max_delay!r}")
+        _require(self.p is None or (_is_real(self.p) and 0.0 <= self.p <= 1.0),
+                 f"variant {self.name}: p must lie in [0, 1], got {self.p!r}")
 
     def resolve_p(self, p_true: float) -> float:
         return float(p_true if self.p is None else self.p)
@@ -79,10 +110,25 @@ DEFAULT_VARIANTS = (
     FilterVariant("proposed_n2", max_delay=2),
 )
 
+# The models a config can name, each built from the config's fields
+_MODELS = {
+    "growth": lambda config: GrowthModel(),
+    "bot": lambda config: BotModel(
+        BotParams(sampling_time=config.sampling_time, paper_literal_f=config.paper_literal_f)
+    ),
+}
+
+# Integer fields and their least admissible value
+_INT_MINIMUMS = {"n_true": 0, "ns": 1, "n_steps": 1, "mc_runs": 1, "ensembles": 1, "m": 2, "seed": 0}
+
 
 @dataclass
 class ScenarioConfig:
-    """Everything one study needs; mirrors the config-file schema."""
+    """Everything one study needs; mirrors the config-file schema.
+
+    Construction validates every field and raises ConfigError on the first
+    bad one, so a study never starts on a config it cannot finish.
+    """
 
     model: str = "growth"
     p_true: float = 0.5
@@ -103,40 +149,53 @@ class ScenarioConfig:
     common_random_numbers: bool = False
 
     def __post_init__(self) -> None:
-        if self.model not in ("growth", "bot"):
-            raise ConfigError(f"model must be 'growth' or 'bot', got {self.model!r}")
-        if self.mc_runs < 1 or self.n_steps < 1 or self.ensembles < 1:
-            raise ConfigError("mc_runs, n_steps and ensembles must be >= 1")
-        if self.ns < 1:
-            raise ConfigError(f"ns must be >= 1, got {self.ns}")
-        if self.m < 2:
-            raise ConfigError(f"m must be >= 2, got {self.m}")
-        self.variants = tuple(
-            v if isinstance(v, FilterVariant) else FilterVariant(**v)
-            for v in self.variants
-        )
-        LatencyParams(self.p_true, self.n_true)  # validates
+        _require(isinstance(self.model, str) and self.model in _MODELS,
+                 f"model must be one of {sorted(_MODELS)}, got {self.model!r}")
+        for name, low in _INT_MINIMUMS.items():
+            value = getattr(self, name)
+            _require(_is_int(value) and value >= low, f"{name} must be an integer >= {low}, got {value!r}")
+        _require(self.seed < 2**64, f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        for name in ("p_true", "sl", "online_sl", "sampling_time"):
+            value = getattr(self, name)
+            _require(_is_real(value), f"{name} must be a finite number, got {value!r}")
+        for name in ("paper_literal_f", "common_random_numbers"):
+            _require(isinstance(getattr(self, name), bool), f"{name} must be true or false")
+        _require(self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike)),
+                 f"out_dir must be a path, got {self.out_dir!r}")
+        _require(isinstance(self.sweep_p, (list, tuple)) and all(map(_is_real, self.sweep_p)),
+                 f"sweep_p must be a list of numbers, got {self.sweep_p!r}")
+        self.sweep_p = tuple(float(p) for p in self.sweep_p)
+        _require(isinstance(self.variants, (list, tuple)), "variants must be a list")
+        try:
+            self.variants = tuple(
+                v if isinstance(v, FilterVariant) else FilterVariant(**v) for v in self.variants
+            )
+        except TypeError as exc:
+            raise ConfigError(f"each variant must be a mapping of name, max_delay and p: {exc}") from exc
+        names = [v.name for v in self.variants]
+        _require(len(set(names)) == len(names), f"variant names must be unique, got {names}")
+        try:
+            self.true_params()
+            GridSpec(self.sl)
+            GridSpec(self.online_sl)
+            for p in self.sweep_p:
+                Probability(p)
+            self.build_model()
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def true_params(self) -> LatencyParams:
         return LatencyParams(self.p_true, self.n_true)
 
     def build_model(self) -> SystemModel:
-        if self.model == "growth":
-            return GrowthModel()
-        return BotModel(
-            BotParams(
-                sampling_time=self.sampling_time,
-                paper_literal_f=self.paper_literal_f,
-            )
-        )
+        return _MODELS[self.model](self)
 
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-_VARIANT_KEYS = {f.name for f in dataclasses.fields(FilterVariant)}
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse and strictly validate a YAML config file."""
+    """Parse a YAML config file; the ScenarioConfig it builds validates every field."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -151,22 +210,7 @@ def load_config(path) -> ScenarioConfig:
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "variants" in raw:
-        variants = []
-        for item in raw["variants"]:
-            if not isinstance(item, dict):
-                raise ConfigError("each variant must be a key-value mapping")
-            bad = set(item) - _VARIANT_KEYS
-            if bad:
-                raise ConfigError(f"unknown variant keys: {sorted(bad)}")
-            variants.append(FilterVariant(**item))
-        raw["variants"] = tuple(variants)
-    if "sweep_p" in raw:
-        raw["sweep_p"] = tuple(float(v) for v in raw["sweep_p"])
-    try:
-        return ScenarioConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +226,7 @@ class TruthData:
     z: np.ndarray                 # (n_steps,) true measurements, z[k-1] is z_k
     y: np.ndarray                 # (n_steps,) delivered measurements
     outcomes: list[DelayOutcome]
-    platform: Optional[object] = None
+    platform: Optional[object] = None   # the model's truth context, e.g. the BOT platform track
 
 
 def generate_truth(config: ScenarioConfig, seed: int, n_steps: Optional[int] = None) -> TruthData:
@@ -194,20 +238,13 @@ def generate_truth(config: ScenarioConfig, seed: int, n_steps: Optional[int] = N
     meas = rng.substream(1)
     chan_rng = rng.substream(2)
 
-    platform = None
-    if config.model == "bot":
-        platform = generate_platform_track(model.params, n, rng.substream(3))
-
+    context = model.truth_context(n, rng.substream(3))
     states = np.empty((n + 1, model.state_dim))
     states[0] = model.initial_truth(proc)
     z = np.empty(n)
     for k in range(1, n + 1):
         states[k] = model.propagate(states[k - 1][None, :], k, proc)[0]
-        if config.model == "bot":
-            clean = bot_measure(states[k, 0], (platform.x[k], platform.y[k]))
-        else:
-            clean = model.measure_clean(states[k][None, :], k)[0]
-        z[k - 1] = clean + model.meas_noise_sample(k, meas)
+        z[k - 1] = model.measure_truth(states[k], k, context) + model.meas_noise_sample(k, meas)
 
     channel = DelayChannel(config.true_params(), chan_rng)
     y = np.empty(n)
@@ -215,7 +252,7 @@ def generate_truth(config: ScenarioConfig, seed: int, n_steps: Optional[int] = N
     for k in range(1, n + 1):
         y[k - 1], outcome = channel.step(z[k - 1])
         outcomes.append(outcome)
-    return TruthData(states=states, z=z, y=y, outcomes=outcomes, platform=platform)
+    return TruthData(states=states, z=z, y=y, outcomes=outcomes, platform=context)
 
 
 def rmse(estimates, truths) -> np.ndarray:

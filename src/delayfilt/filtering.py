@@ -29,7 +29,6 @@ keep Monte Carlo error in check.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -49,8 +48,6 @@ __all__ = [
     "filter_step",
     "run_filter",
     "systematic_resample",
-    "effective_sample_size",
-    "write_step_diagnostics",
 ]
 
 
@@ -273,11 +270,6 @@ def systematic_resample(weights: np.ndarray, rng: RngStream) -> np.ndarray:
     return _systematic_rows(weights[None], (rng,))[0]
 
 
-def effective_sample_size(weights: np.ndarray) -> float:
-    w = np.asarray(weights, dtype=float)
-    return float(1.0 / np.sum(w * w))
-
-
 class _SirStep(NamedTuple):
     """What `_sir_step` produced for each row of a bank."""
 
@@ -428,7 +420,7 @@ def filter_step(
     w = step.weights[0]
     diagnostics = StepDiagnostics(
         step=k,
-        ess=effective_sample_size(w),
+        ess=float(1.0 / np.sum(w * w)),
         underflow=bool(step.underflow[0]),
         log_mean_likelihood=float(step.log_mean_likelihood[0]),
         ancestors=step.ancestors[0],
@@ -520,19 +512,3 @@ def _run_filter_bank(
         state, ring = step.state, step.ring
         del step  # release this step's arrays before the next step makes its own
     return means[np.argsort(order)]
-
-
-def write_step_diagnostics(path, records) -> None:
-    """Write per-step diagnostic records as CSV.
-
-    ``records`` is an iterable of (StepDiagnostics, FilterEstimate) pairs.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "estimate", "ess", "underflow"])
-        for diag, est in records:
-            mean = np.atleast_1d(est.mean)
-            writer.writerow(
-                [diag.step, " ".join(str(float(v)) for v in mean),
-                 str(float(diag.ess)), int(diag.underflow)]
-            )

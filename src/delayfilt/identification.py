@@ -41,7 +41,6 @@ accumulation and processed with the plain no-delay likelihood.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,7 +64,6 @@ __all__ = [
     "offline_identify",
     "init_online_identification",
     "online_identify_step",
-    "write_ll_curve",
 ]
 
 
@@ -352,12 +350,3 @@ def online_identify_step(
     state.estimates.append(float(p_hat))
     state.running_average = float(np.mean(state.estimates))
     return state, p_hat
-
-
-def write_ll_curve(path, result: IdentificationResult, label=0) -> None:
-    """Export an identification trace as CSV (label, p, L_p, p_hat)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ensemble", "p", "L_p", "p_hat"])
-        for p_c, ll in result.curve:
-            writer.writerow([label, float(p_c), float(ll), float(result.p_hat)])

@@ -13,9 +13,10 @@ Both benchmark models are scalar-measurement nonlinear systems:
   from a moving sensor platform whose own position is noisy.
 
 Filters evaluate the BOT measurement function at the *mean* platform
-position; the realized platform noise only enters truth generation, so
-it acts as unmodeled measurement error, which is how the benchmark is
-posed.
+position. The realized platform track is the BOT model's truth context
+(`truth_context`, `measure_truth`), so its noise only enters truth
+generation and acts as unmodeled measurement error, which is how the
+benchmark is posed.
 """
 
 from __future__ import annotations
@@ -120,6 +121,17 @@ class SystemModel(ABC):
     @abstractmethod
     def initial_truth(self, rng: RngStream) -> np.ndarray:
         """The true initial state for simulation; shape (state_dim,)."""
+
+    def truth_context(self, n_steps: int, rng: RngStream):
+        """What truth generation draws besides the states for steps 0..n_steps, if anything."""
+        return None
+
+    def measure_truth(self, x: np.ndarray, k: int, context) -> float:
+        """Noiseless measurement of the true state x, shape (state_dim,), at step k.
+
+        ``context`` is what `truth_context` returned for the trajectory.
+        """
+        return self.measure_clean(x[None, :], k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +382,10 @@ class BotModel(SystemModel):
 
     def initial_truth(self, rng):
         return np.array(self.params.x0_true, dtype=float)
+
+    def truth_context(self, n_steps, rng):
+        return generate_platform_track(self.params, n_steps, rng)
+
+    def measure_truth(self, x, k, platform):
+        """Bearing from the realized, noisy platform position at step k."""
+        return bot_measure(x[0], (platform.x[k], platform.y[k]))

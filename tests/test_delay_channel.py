@@ -10,7 +10,6 @@ from delayfilt import (
     RngStream,
     delay_pmf,
     empirical_delay_histogram,
-    write_outcome_trace,
 )
 from conftest import ScriptedRng
 
@@ -183,14 +182,3 @@ def test_exactly_one_outcome_per_step():
     for k in range(100):
         _, outcome = chan.step(float(k))
         assert outcome.dropped == (outcome.delay is None)
-
-
-def test_outcome_trace_csv(tmp_path):
-    outcomes = [DelayOutcome.delivered(0), DelayOutcome.drop(), DelayOutcome.delivered(2)]
-    path = tmp_path / "trace.csv"
-    write_outcome_trace(path, outcomes)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,outcome_kind,delay_j"
-    assert lines[1] == "1,delivered,0"
-    assert lines[2] == "2,dropped,"
-    assert lines[3] == "3,delivered,2"

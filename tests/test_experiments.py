@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from delayfilt import (
     BotModel,
@@ -13,7 +14,6 @@ from delayfilt import (
     RngStream,
     RunMetrics,
     ScenarioConfig,
-    bot_measure,
     delay_pmf,
     generate_truth,
     init_filter,
@@ -28,6 +28,7 @@ from delayfilt import (
 from delayfilt.cli import main as cli_main
 from delayfilt.core import derive_seed
 from delayfilt.experiments import run_id, write_manifest
+from delayfilt.models import bot_measure
 
 
 def small_config(**overrides):
@@ -53,6 +54,47 @@ class TestScenarioConfig:
     def test_rejects_bad_counts(self, field, value):
         with pytest.raises(ConfigError):
             ScenarioConfig(model="growth", **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_true", -1), ("n_true", 2.0), ("ns", 2.5), ("ns", True), ("m", "500"),
+        ("seed", -5), ("seed", 2**64), ("p_true", math.nan), ("p_true", 1.5), ("p_true", True),
+        ("sl", 0.0), ("online_sl", 1.5), ("sampling_time", math.inf), ("sweep_p", (0.5, 1.5)),
+        ("sweep_p", 0.5), ("common_random_numbers", "yes"), ("model", ["growth"]), ("out_dir", 5),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ConfigError):
+            small_config(**{field: value})
+
+    def test_model_validates_its_own_parameters(self):
+        with pytest.raises(ConfigError, match="sampling_time"):
+            small_config(model="bot", sampling_time=0.0)
+
+    @pytest.mark.parametrize("variants", [
+        [{"name": "a", "max_delay": 1}, {"name": "a", "max_delay": 2}],
+        [{"name": "a/b", "max_delay": 1}],
+        [{"name": "a\\b", "max_delay": 1}],
+        [{"name": "a\0b", "max_delay": 1}],
+        [{"name": "", "max_delay": 1}],
+        [{"name": ".", "max_delay": 1}],
+        [{"name": "..", "max_delay": 1}],
+        [{"name": "a", "max_delay": -1}],
+        [{"name": "a", "max_delay": 1.0}],
+        [{"name": "a", "max_delay": 1, "p": 1.5}],
+        [{"name": "a"}],
+        [5],
+    ])
+    def test_rejects_bad_variants(self, variants):
+        with pytest.raises(ConfigError):
+            small_config(variants=variants)
+
+    def test_numbers_keep_their_values(self):
+        cfg = small_config(p_true=1, sweep_p=[1, 0.5])
+        assert cfg.p_true == 1 and cfg.sweep_p == (1.0, 0.5)
+
+    def test_run_id_of_default_configs_is_stable(self):
+        assert run_id(ScenarioConfig(), "filter") == "c5d420e97437"
+        bot = ScenarioConfig(model="bot", sampling_time=0.1, common_random_numbers=True)
+        assert run_id(bot, "identify-offline") == "4106b0a68456"
 
     def test_variant_resolves_true_probability(self):
         v = FilterVariant("proposed_n2", max_delay=2)
@@ -407,6 +449,31 @@ class TestCli:
         path.write_text("model: growth\nbogus_key: 1\n")
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,mode", [
+        ({"n_true": -1}, "filter"),
+        ({"p_true": math.nan}, "filter"),
+        ({"seed": -5}, "filter"),
+        ({"ns": 2.5}, "filter"),
+        ({"ns": 2.5}, "identify-offline"),
+        ({"sl": 0}, "identify-offline"),
+        ({"model": "bot", "sampling_time": 0}, "filter"),
+        ({"model": "bot", "sampling_time": 0}, "identify-online"),
+        ({"sweep_p": [1.5]}, "sweep"),
+        ({"variants": [{"name": "a", "max_delay": 0}, {"name": "a", "max_delay": 1}]}, "filter"),
+        ({"variants": [{"name": "a/b", "max_delay": 1}]}, "filter"),
+        ({"variants": [{"name": "..", "max_delay": 1}]}, "sweep"),
+    ], ids=["n_true", "p_true", "seed", "ns", "ns-offline", "sl", "sampling_time",
+            "sampling_time-online", "sweep_p", "duplicate-variant", "variant-slash", "variant-dotdot"])
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys, override, mode):
+        fields = dict(model="growth", ns=40, n_steps=8, mc_runs=2, ensembles=2, m=20,
+                      sl=0.5, online_sl=0.5, seed=3)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**fields, **override}))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--mode", mode, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_missing_out_dir_is_config_error(self, tmp_path):
         cfg = self.write_config(tmp_path)

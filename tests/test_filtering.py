@@ -23,7 +23,6 @@ from delayfilt import (
     ll_step,
     run_filter,
     systematic_resample,
-    write_step_diagnostics,
 )
 from delayfilt import filtering
 from conftest import (
@@ -581,18 +580,3 @@ def test_lag_mixture_scores_every_row_under_shared_weights():
     for j in range(4):
         expected += weights[j] * ScalarModel().meas_noise_pdf(0.4 - ring[j], 9 - j)
     assert_same_bits(got, expected)
-
-
-def test_step_diagnostics_csv(tmp_path, scalar_model):
-    ps = init_filter(scalar_model, LatencyParams(0.5, 1), 10, RngStream(58))
-    rng = RngStream(59)
-    records = []
-    for k in range(1, 4):
-        ps, est = filter_step(ps, 0.1 * k, scalar_model, k, rng)
-        records.append((ps.diagnostics, est))
-    path = tmp_path / "diag.csv"
-    write_step_diagnostics(path, records)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,estimate,ess,underflow"
-    assert len(lines) == 4
-    assert lines[1].startswith("1,")

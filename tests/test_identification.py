@@ -25,7 +25,6 @@ from delayfilt import (
     ll_step,
     offline_identify,
     online_identify_step,
-    write_ll_curve,
 )
 from delayfilt import filtering, identification
 from delayfilt.core import derive_seed
@@ -624,14 +623,3 @@ class TestRecoveryInvariants:
                 errors[m].append(abs(float(result.p_hat) - 0.5))
         means = {m: float(np.mean(v)) for m, v in errors.items()}
         assert means[500] < means[250] < means[125], means
-
-
-def test_ll_curve_csv(tmp_path, scalar_model):
-    y = RngStream(78).normal(0, 1, 20)
-    result = offline_identify(y, GridSpec(0.5), scalar_model, 1, 15, 79)
-    path = tmp_path / "curve.csv"
-    write_ll_curve(path, result, label=3)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ensemble,p,L_p,p_hat"
-    assert len(lines) == 1 + len(result.curve)
-    assert lines[1].startswith("3,0.0,")

@@ -13,6 +13,11 @@ from delayfilt import (
     GrowthModel,
     GrowthModelParams,
     RngStream,
+    wrap_angle,
+)
+from delayfilt.core import _normal_pdf
+from delayfilt.models import (
+    _wrap_to_pi,
     bot_mean,
     bot_measure,
     bot_propagate,
@@ -21,11 +26,9 @@ from delayfilt import (
     growth_mean,
     growth_measure,
     growth_propagate,
-    wrap_angle,
 )
-from delayfilt.core import _normal_pdf
-from delayfilt.models import _wrap_to_pi
 from conftest import (
+    ScalarModel,
     ScriptedRng,
     assert_same_bits,
     oracle_bot_mean,
@@ -370,6 +373,32 @@ class TestSystemModelContract:
     def test_degrees_to_radians_once(self):
         params = BotParams(sampling_time=0.2, bearing_noise_deg=3.0)
         assert params.meas_var == pytest.approx(math.radians(3.0) ** 2, rel=1e-15)
+
+
+class TestTruthSeam:
+    def test_default_has_no_context_and_measures_one_row(self):
+        model = ScalarModel()
+        assert model.truth_context(5, RngStream(29)) is None
+        x = np.array([1.7])
+        assert model.measure_truth(x, 3, None) == model.measure_clean(x[None, :], 3)[0]
+
+    def test_growth_measures_truth_as_the_filter_does(self):
+        model = GrowthModel()
+        x = np.array([-4.3])
+        assert model.truth_context(5, RngStream(30)) is None
+        assert model.measure_truth(x, 2, None) == model.measure_clean(x[None, :], 2)[0]
+
+    def test_bot_measures_truth_from_the_realized_platform(self):
+        model = BotModel(BotParams(sampling_time=0.2))
+        platform = model.truth_context(12, RngStream(31))
+        track = generate_platform_track(model.params, 12, RngStream(31))
+        assert np.array_equal(platform.x, track.x) and np.array_equal(platform.y, track.y)
+        x = np.array([83.0, 1.2])
+        for k in (1, 7, 12):
+            assert model.measure_truth(x, k, platform) == bot_measure(
+                x[0], (platform.x[k], platform.y[k])
+            )
+        assert model.measure_truth(x, 7, platform) != model.measure_clean(x[None, :], 7)[0]
 
 
 class TestParamValidation:
